@@ -16,7 +16,8 @@
 //!
 //! Intentional limits (documented, not accidental): numbers are `u64`/`i64`/
 //! `f64` (no arbitrary precision), non-finite floats serialize as `null`,
-//! and decoding is strict about types but lenient about extra object keys —
+//! an `f32` decodes only from a number that is finite in `f32`, and
+//! decoding is strict about types but lenient about extra object keys —
 //! the forward-compatibility behaviour checkpoints rely on.
 
 #![forbid(unsafe_code)]
@@ -309,8 +310,20 @@ impl ToJson for f32 {
 
 impl FromJson for f32 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.as_f64()? as f32)
+        let wide = v.as_f64()?;
+        let narrow = wide as f32;
+        if narrow.is_finite() {
+            Ok(narrow)
+        } else {
+            Err(not_finite_f32(wide))
+        }
     }
+}
+
+/// Kept out of line so the check costs the decode loop one branch.
+#[cold]
+fn not_finite_f32(wide: f64) -> JsonError {
+    JsonError::new(format!("{wide:e} is not a finite f32"))
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
@@ -558,5 +571,16 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert_eq!(to_string(&f64::NAN), "null");
         assert_eq!(to_string(&f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn f32_decode_rejects_overflow() {
+        assert_eq!(from_str::<f32>("3.4028235e38").unwrap(), f32::MAX);
+        assert_eq!(from_str::<f32>("-3.4028235e38").unwrap(), f32::MIN);
+        for big in ["1e39", "-1e39", "1e308"] {
+            let err = from_str::<f32>(big).unwrap_err();
+            assert!(err.to_string().contains("not a finite f32"), "{big}: {err}");
+        }
+        assert_eq!(f32::from_json(&Json::Num(Num::F(f64::NAN))).map_err(|_| ()), Err(()));
     }
 }

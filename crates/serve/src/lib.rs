@@ -16,14 +16,18 @@
 //!    exactly one thread compiles, the rest block on the same slot.
 //! 2. **Micro-batching** ([`batcher`]) — concurrent requests for the same
 //!    session are coalesced into one `CompiledModel::bind(B)` +
-//!    `BoundModel::run` forward (flushed at `max_batch` requests or after
-//!    `max_wait`), then de-interleaved back to each requester in submission
-//!    order. Because the executor's kernels compute every output row with a
+//!    `BoundModel::run` forward, then de-interleaved back to each requester
+//!    in submission order. A batch flushes once it holds `max_batch`
+//!    requests or no other request is in flight (read by the server but not
+//!    yet queued, sent past the batcher, or failed), so a lone request never
+//!    idles on a timer; `max_wait` only caps the wait for in-flight
+//!    partners. Because the executor's kernels compute every output row with a
 //!    batch-size-independent accumulation order, a coalesced forecast is
 //!    bit-identical to serving the same request alone — the differential
 //!    tests enforce this byte-for-byte.
 //! 3. **Stats** ([`stats`]) — per-model request counts, batch-size
-//!    histograms and p50/p99 service latency, exposed at `GET /stats`.
+//!    histograms, p50/p99 service latency and p50/p99 batcher queue wait,
+//!    exposed at `GET /stats`.
 //!
 //! Endpoints: `POST /forecast` (see [`proto`] for the schema),
 //! `GET /stats`, `GET /healthz`. Every failure path — oversized or

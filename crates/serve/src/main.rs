@@ -4,6 +4,10 @@
 //! lip-serve [--addr 127.0.0.1:7878] [--workers 8] [--max-batch 16]
 //!           [--max-wait-ms 2] [--checkpoint-root DIR]
 //! ```
+//!
+//! A batch runs once it holds `--max-batch` requests or no other request
+//! is in flight; `--max-wait-ms` caps how long it waits for in-flight
+//! requests.
 
 use std::time::Duration;
 
@@ -13,7 +17,9 @@ use lip_serve::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: lip-serve [--addr HOST:PORT] [--workers N] [--max-batch N] \
-         [--max-wait-ms N] [--checkpoint-root DIR]"
+         [--max-wait-ms N] [--checkpoint-root DIR]\n\
+         a batch runs once it holds --max-batch requests or no other request is \
+         in flight;\n--max-wait-ms caps how long it waits for in-flight requests"
     );
     std::process::exit(2);
 }

@@ -12,7 +12,7 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -60,6 +60,10 @@ struct Shared {
     limits: Limits,
     checkpoint_root: Option<std::path::PathBuf>,
     shutdown: AtomicBool,
+    /// Worker threads started.
+    workers: usize,
+    /// Worker threads still running their loop.
+    alive_workers: AtomicUsize,
 }
 
 /// A running server; dropping it without [`Server::shutdown`] leaks the
@@ -76,17 +80,20 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             cache: SessionCache::new(config.session.clone()),
             stats: StatsRegistry::default(),
             limits: config.limits.clone(),
             checkpoint_root: config.checkpoint_root.clone(),
             shutdown: AtomicBool::new(false),
+            workers,
+            alive_workers: AtomicUsize::new(workers),
         });
 
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.workers.max(1))
+        let workers = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
@@ -140,12 +147,12 @@ impl Server {
 
     /// How many worker threads are still running their loop.
     pub fn alive_workers(&self) -> usize {
-        self.workers.iter().filter(|w| !w.is_finished()).count()
+        self.shared.alive_workers.load(Ordering::Relaxed)
     }
 
     /// Total worker threads.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.shared.workers
     }
 
     /// Stop accepting, drain workers, join all threads.
@@ -162,7 +169,17 @@ impl Server {
     }
 }
 
+/// Counts a worker out of `alive_workers` however its loop ends.
+struct Alive<'a>(&'a AtomicUsize);
+
+impl Drop for Alive<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<Shared>) {
+    let _alive = Alive(&shared.alive_workers);
     loop {
         let stream = {
             let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -228,7 +245,11 @@ fn route(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<String
         ("POST", "/forecast") => forecast(req, shared, started),
         ("GET", "/stats") => Ok(shared
             .stats
-            .snapshot(usize::MAX, usize::MAX, shared.cache.compiles())
+            .snapshot(
+                shared.alive_workers.load(Ordering::Relaxed),
+                shared.workers,
+                shared.cache.compiles(),
+            )
             .dump_pretty()),
         ("GET", "/healthz") => Ok(Json::Object(vec![(
             "ok".into(),
@@ -244,6 +265,9 @@ fn route(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<String
 }
 
 fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<String, ServeError> {
+    // counted in flight from here until queued, sent past the batcher, or
+    // failed: every early return drops the ticket and wakes the leaders
+    let ticket = shared.cache.in_flight().enter();
     let parsed = ForecastRequest::parse(&req.body)?;
     let path = resolve_checkpoint(&parsed.checkpoint, shared)?;
     let session = shared.cache.get(&path, &parsed.spec, &shared.stats)?;
@@ -266,6 +290,7 @@ fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<Str
     };
     let body = if multi {
         // an explicit batch: one bind(B) forward, no coalescing wait
+        drop(ticket);
         let outs = session.forecast_many(jobs).map_err(fail)?;
         let response = BatchForecastResponse {
             batched: outs.len(),
@@ -276,7 +301,8 @@ fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<Str
         lip_serde::to_string(&response)
     } else {
         let job = jobs.into_iter().next().expect("legacy form is one window");
-        let out = session.forecast(job).map_err(fail)?;
+        let out = session.forecast(job, ticket).map_err(fail)?;
+        session.stats.queue(out.queue_us);
         let response = ForecastResponse {
             forecast: rows_of(&out),
             model: session.key_hex.clone(),

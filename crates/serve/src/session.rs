@@ -34,7 +34,7 @@ use lip_tensor::Tensor;
 use lipformer::checkpoint;
 use lipformer::{Forecaster, LiPFormer, LiPFormerConfig};
 
-use crate::batcher::{BatchPolicy, BatchResult, Batcher};
+use crate::batcher::{BatchPolicy, BatchResult, Batcher, InFlight, Ticket};
 use crate::error::ServeError;
 use crate::fnv1a;
 use crate::proto::{ForecastRequest, ForecastWindow};
@@ -116,11 +116,12 @@ impl Session {
         })
     }
 
-    /// Submit a job to the micro-batcher and wait for its forecast.
-    pub fn forecast(self: &Arc<Self>, job: Job) -> Result<JobOut, ServeError> {
+    /// Submit a job to the micro-batcher and wait for its forecast. The
+    /// request's in-flight `ticket` is released once the job is queued.
+    pub fn forecast(self: &Arc<Self>, job: Job, ticket: Ticket) -> Result<JobOut, ServeError> {
         let this = Arc::clone(self);
         self.batcher
-            .submit(job, move |jobs| this.run_batch(jobs))
+            .submit_counted(job, ticket, move |jobs| this.run_batch(jobs))
             .map_err(|message| ServeError::Internal { message })
     }
 
@@ -281,6 +282,7 @@ pub struct SessionCache {
     path_keys: Mutex<HashMap<(String, String), PathKey>>,
     compiles: AtomicU64,
     options: SessionOptions,
+    in_flight: Arc<InFlight>,
 }
 
 impl SessionCache {
@@ -291,7 +293,14 @@ impl SessionCache {
             path_keys: Mutex::new(HashMap::new()),
             compiles: AtomicU64::new(0),
             options,
+            in_flight: Arc::default(),
         }
+    }
+
+    /// Requests read but not yet queued, shared by every session's
+    /// batcher: their leaders flush once it reaches zero.
+    pub fn in_flight(&self) -> &Arc<InFlight> {
+        &self.in_flight
     }
 
     /// Model compilations performed (the race test asserts one per
@@ -375,7 +384,7 @@ impl SessionCache {
                 contract,
                 stats: registry.model(&key_hex),
                 compiled,
-                batcher: Batcher::new(self.options.batch),
+                batcher: Batcher::with_in_flight(self.options.batch, Arc::clone(&self.in_flight)),
                 forward_threads: self.options.forward_threads,
             }))
         });

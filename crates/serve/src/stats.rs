@@ -1,9 +1,11 @@
 //! Request accounting: per-model counters, batch-size histograms and
 //! latency quantiles behind `GET /stats`.
 //!
-//! Latency is tracked as a bounded ring of the most recent service times
-//! (microseconds from request-parsed to response-ready), so quantiles track
-//! current behaviour instead of averaging over the process lifetime.
+//! Service latency (microseconds from request-parsed to response-ready) and
+//! queue wait (microseconds a single-window request spent in the batcher
+//! before its batch flushed) are each tracked as a bounded ring of the most
+//! recent samples, so quantiles track current behaviour instead of
+//! averaging over the process lifetime.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -13,6 +15,38 @@ use lip_serde::{Json, Num};
 
 /// Samples kept per model for the quantile window.
 const LATENCY_WINDOW: usize = 4096;
+
+/// The most recent [`LATENCY_WINDOW`] samples of one quantity.
+#[derive(Default)]
+struct Ring {
+    samples: Vec<u64>,
+    /// Next slot to overwrite once the ring is full.
+    next: usize,
+}
+
+impl Ring {
+    fn push(&mut self, v: u64) {
+        if self.samples.len() < LATENCY_WINDOW {
+            self.samples.push(v);
+        } else {
+            // overwrite round-robin: quantiles don't care about ordering
+            // inside the window
+            self.samples[self.next] = v;
+            self.next = (self.next + 1) % LATENCY_WINDOW;
+        }
+    }
+}
+
+/// `(p50, p99)` over a ring's window, `(0, 0)` when empty. Sorts a copy,
+/// so recording never waits on a `/stats` read.
+fn quantiles(ring: &Mutex<Ring>) -> (u64, u64) {
+    let mut w = relock(ring).samples.clone();
+    if w.is_empty() {
+        return (0, 0);
+    }
+    w.sort_unstable();
+    (nearest_rank(&w, 0.50), nearest_rank(&w, 0.99))
+}
 
 /// Counters for one cached model session.
 pub struct ModelStats {
@@ -27,7 +61,8 @@ pub struct ModelStats {
     /// `hist[b]` counts batches that coalesced exactly `b` requests
     /// (index 0 unused).
     hist: Mutex<Vec<u64>>,
-    latency_us: Mutex<Vec<u64>>,
+    latency_us: Mutex<Ring>,
+    queue_us: Mutex<Ring>,
     created: Instant,
 }
 
@@ -44,7 +79,8 @@ impl ModelStats {
             forecasts: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             hist: Mutex::new(Vec::new()),
-            latency_us: Mutex::new(Vec::new()),
+            latency_us: Mutex::default(),
+            queue_us: Mutex::default(),
             created: Instant::now(),
         }
     }
@@ -72,15 +108,12 @@ impl ModelStats {
 
     /// Record one request's total service time.
     pub fn latency(&self, us: u64) {
-        let mut w = relock(&self.latency_us);
-        if w.len() == LATENCY_WINDOW {
-            // overwrite round-robin: cheap, and quantiles don't care about
-            // ordering inside the window
-            let slot = (self.requests.load(Ordering::Relaxed) as usize) % LATENCY_WINDOW;
-            w[slot] = us;
-        } else {
-            w.push(us);
-        }
+        relock(&self.latency_us).push(us);
+    }
+
+    /// Record how long one single-window request waited in the batcher.
+    pub fn queue(&self, us: u64) {
+        relock(&self.queue_us).push(us);
     }
 
     /// Forecast rows produced so far.
@@ -105,16 +138,12 @@ impl ModelStats {
 
     /// `(p50, p99)` service latency in microseconds over the window.
     pub fn quantiles(&self) -> (u64, u64) {
-        let mut w = relock(&self.latency_us).clone();
-        if w.is_empty() {
-            return (0, 0);
-        }
-        w.sort_unstable();
-        (nearest_rank(&w, 0.50), nearest_rank(&w, 0.99))
+        quantiles(&self.latency_us)
     }
 
     fn snapshot(&self) -> Json {
         let (p50, p99) = self.quantiles();
+        let (queue_p50, queue_p99) = quantiles(&self.queue_us);
         let elapsed = self.created.elapsed().as_secs_f64().max(1e-9);
         let hist = Json::Array(
             self.histogram()
@@ -136,6 +165,8 @@ impl ModelStats {
             ("forecasts_per_sec".into(), Json::Num(Num::F(self.forecasts() as f64 / elapsed))),
             ("p50_us".into(), Json::Num(Num::U(p50))),
             ("p99_us".into(), Json::Num(Num::U(p99))),
+            ("queue_p50_us".into(), Json::Num(Num::U(queue_p50))),
+            ("queue_p99_us".into(), Json::Num(Num::U(queue_p99))),
             ("batch_hist".into(), hist),
         ])
     }

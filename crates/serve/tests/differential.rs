@@ -97,7 +97,8 @@ fn coalescing_config(max_batch: usize, forward_threads: Option<usize>) -> Server
         session: SessionOptions {
             batch: BatchPolicy {
                 max_batch,
-                // generous so barrier-released clients land in one window
+                // generous so a leader waits for every barrier-released
+                // client still in flight
                 max_wait: Duration::from_millis(150),
             },
             forward_threads,

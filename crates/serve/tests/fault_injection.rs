@@ -242,6 +242,28 @@ fn garbage_and_malformed_requests() {
     assert_eq!(resp.error_code(), "bad_batch");
     b.assert_healthy("short x");
 
+    // a value in x past the f32 range: a typed 400, not a 200 of nulls
+    let mut json = lip_serde::from_str::<lip_serde::Json>(&b.good_body).expect("good body");
+    if let lip_serde::Json::Object(pairs) = &mut json {
+        for (k, v) in pairs.iter_mut() {
+            if k == "x" {
+                if let lip_serde::Json::Array(rows) = v {
+                    rows[0] = lip_serde::Json::Array(vec![
+                        lip_serde::Json::Num(lip_serde::Num::F(1e39));
+                        b.fx.prep.channels
+                    ]);
+                }
+            }
+        }
+    }
+    let body = json.dump();
+    assert!(body.contains("1e39"), "the request carries 1e39: {body}");
+    let resp = common::post(addr, "/forecast", &body);
+    assert_eq!(resp.status, 400, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "bad_request");
+    assert!(resp.body.contains("not a finite f32"), "body: {}", resp.body);
+    b.assert_healthy("x value overflowing f32");
+
     b.server.shutdown();
 }
 

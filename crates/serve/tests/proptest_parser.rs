@@ -1,6 +1,7 @@
 //! Property tests for the request parser: randomly generated requests
-//! round-trip bit-exactly, and arbitrary byte mutations of valid request
-//! bodies are always answered with `Ok` or a typed error — never a panic.
+//! round-trip bit-exactly, arbitrary byte mutations of valid request
+//! bodies are always answered with `Ok` or a typed error — never a panic —
+//! and any JSON number in `x` decodes to a finite `f32` or a typed error.
 
 mod common;
 
@@ -120,6 +121,60 @@ fn ragged_rows_are_typed_errors() {
                 assert!(message.contains("row"), "message: {message}");
             }
             other => panic!("ragged x must be rejected, got {other:?}"),
+        }
+    });
+}
+
+/// A random JSON number literal: either sign, 1-20 integer digits, an
+/// optional fraction and an optional exponent reaching far past the `f32`
+/// and `f64` ranges in both directions.
+fn arbitrary_number(g: &mut lip_rng::prop::Gen) -> String {
+    let digit = |g: &mut lip_rng::prop::Gen, lo: u64| char::from(b'0' + g.u64_in(lo, 10) as u8);
+    let mut s = String::new();
+    if g.usize_in(0, 2) == 1 {
+        s.push('-');
+    }
+    let int_digits = g.usize_in(1, 21);
+    s.push(digit(g, if int_digits == 1 { 0 } else { 1 }));
+    for _ in 1..int_digits {
+        s.push(digit(g, 0));
+    }
+    if g.usize_in(0, 2) == 1 {
+        s.push('.');
+        for _ in 0..g.usize_in(1, 10) {
+            s.push(digit(g, 0));
+        }
+    }
+    if g.usize_in(0, 3) > 0 {
+        s.push_str(g.pick(&["e", "E", "e+", "e-", "E-"]));
+        s.push_str(&g.u64_in(0, 1000).to_string());
+    }
+    s
+}
+
+#[test]
+fn prop_x_numbers_decode_finite_or_fail_typed() {
+    prop_check!(cases = 500, seed = 0x5e41_0005, |g| {
+        let number = arbitrary_number(g);
+        let mut body = lip_serde::to_string(&arbitrary_request(g));
+        // overwrite x[0][0] with the literal
+        let start = body.find("\"x\":[[").expect("x field") + "\"x\":[[".len();
+        let end = start + body[start..].find([',', ']']).expect("end of x[0][0]");
+        body.replace_range(start..end, &number);
+
+        let want = number.parse::<f64>().expect("a JSON number is a Rust float") as f32;
+        match ForecastRequest::parse(body.as_bytes()) {
+            Ok(req) => {
+                assert!(want.is_finite(), "{number} decoded although it overflows f32");
+                assert_eq!(req.x[0][0].to_bits(), want.to_bits(), "{number}");
+                assert!(req.x.iter().flatten().all(|v| v.is_finite()), "{number}");
+                assert!(!lip_serde::to_string(&req).contains("null"), "{number}");
+            }
+            Err(ServeError::BadRequest { message, .. }) => {
+                assert!(!want.is_finite(), "{number} rejected although finite: {message}");
+                assert!(message.contains("not a finite f32"), "{number}: {message}");
+            }
+            Err(other) => panic!("{number}: unexpected error class: {other:?}"),
         }
     });
 }

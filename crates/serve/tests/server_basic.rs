@@ -3,7 +3,11 @@
 
 mod common;
 
+use std::time::Duration;
+
 use lip_data::DatasetName;
+use lip_serve::batcher::BatchPolicy;
+use lip_serve::session::SessionOptions;
 use lip_serve::ServerConfig;
 
 #[test]
@@ -35,7 +39,16 @@ fn healthz_and_routing() {
 #[test]
 fn forecast_roundtrip_and_stats() {
     let fx = common::fixture(DatasetName::ETTh1, "basic");
-    let server = common::start(ServerConfig::default());
+    // a max_wait no sequential request may pay: nothing else is in flight
+    let max_wait = Duration::from_secs(1);
+    let server = common::start(ServerConfig {
+        workers: 6,
+        session: SessionOptions {
+            batch: BatchPolicy { max_batch: 8, max_wait },
+            ..SessionOptions::default()
+        },
+        ..ServerConfig::default()
+    });
     let addr = server.addr();
 
     let body = common::request_body(&fx, 0);
@@ -61,11 +74,19 @@ fn forecast_roundtrip_and_stats() {
     assert!(json.field::<u64>("requests").expect("requests") >= 4);
     assert_eq!(json.field::<u64>("panics"), Ok(0));
     assert_eq!(json.field::<u64>("compiles"), Ok(1), "one model, one compile");
+    assert_eq!(json.field::<u64>("workers"), Ok(6));
+    assert_eq!(json.field::<u64>("alive_workers"), Ok(6));
     let models = json.get("models").expect("models").as_array().expect("array");
     assert_eq!(models.len(), 1);
     let m = &models[0];
     assert!(m.field::<u64>("forecasts").expect("forecasts") >= 4);
     assert!(m.field::<u64>("p99_us").expect("p99") >= m.field::<u64>("p50_us").expect("p50"));
+    let queue_p50 = m.field::<u64>("queue_p50_us").expect("queue_p50_us");
+    assert!(m.field::<u64>("queue_p99_us").expect("queue_p99_us") >= queue_p50);
+    assert!(
+        queue_p50 < max_wait.as_micros() as u64 / 10,
+        "sequential requests queued {queue_p50} us at the median"
+    );
 
     assert_eq!(server.panics(), 0);
     server.shutdown();

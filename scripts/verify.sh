@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release --offline
 
+echo "==> perfbench build (the repo benchmark compiles against the crates' public APIs,"
+echo "    so an API change that breaks it fails here, not in the benchmark run)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors; missing docs fail lip-par/lip-exec/lip-analyze/lip-tensor)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline
 
@@ -128,6 +132,7 @@ if grep -rhE '^[a-zA-Z0-9_-]+ *= *[{"]' Cargo.toml crates/*/Cargo.toml \
 fi
 
 echo "OK: offline build + double test run green (LIP_THREADS=1 and default),"
+echo "    perfbench builds against the current APIs,"
 echo "    rustdoc clean under -D warnings, clippy clean under -D warnings,"
 echo "    static plan verifier zero findings (schedules, partitions, kernels),"
 echo "    parallel/serial bit-identical, zero layout-copy allocations,"
