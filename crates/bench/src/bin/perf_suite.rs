@@ -1,6 +1,5 @@
-//! `perf_suite` — the regression-gated kernel performance suite
-//! (successor to `par_baseline` + `mem_baseline`, recorded as
-//! `BENCH_pr7.json`).
+//! `perf_suite` — the regression-gated kernel performance suite, the
+//! workspace's one in-repo kernel gate (recorded as `BENCH_pr7.json`).
 //!
 //! For each of the nine synthetic benchmarks: build the small LiPFormer for
 //! its standard (48, 24) task, then measure a batch-32 forward through both
@@ -15,13 +14,17 @@
 //!
 //! Timings are **process CPU seconds** (see [`cpu_seconds`]), not wall
 //! clock: the gate must be reproducible on shared hosts, where wall-clock
-//! noise dwarfs any 10%-level tolerance. Wall-clock latency and parallel
-//! speedup live in `par_baseline`/`BENCH_exec.json`.
+//! noise dwarfs any 10%-level tolerance. End-to-end wall-clock latency and
+//! throughput are the repository benchmark's job (`perfbench/`).
 //!
 //! Before timing, parity is enforced: tape serial, tape parallel, exec
 //! serial, and exec parallel predictions must be byte-identical (compared
 //! as fnv1a-64 hashes, which are also recorded). Any divergence exits
 //! non-zero — the suite is a determinism gate first and a stopwatch second.
+//! The same tape forward also proves the zero-copy layout contract: no
+//! byte may be copied by `permute`, `slice_axis`, `broadcast_to` or
+//! `sliding_window`, and the total copied must stay below what the
+//! pre-view implementation copied for the same op sequence.
 //!
 //! ```text
 //! cargo run --release -p lip-bench --bin perf_suite [OUT.json] [BASELINE.json]
@@ -34,10 +37,10 @@
 //! `LIP_PERF_TOL` (default 0.10 = 10%) of the baseline totals —
 //! per-dataset times jitter under bursty interference, but the jitter is
 //! independent across datasets and cancels in the sum. Hard floors
-//! independent of the baseline: `fused_ops >= 1` and
-//! `pack_copied <= PACK_CEILING` on every dataset. If the totals still
-//! flake on a badly loaded host, bump `LIP_PERF_TOL` rather than deleting
-//! the gate.
+//! independent of the baseline: `fused_ops >= 1`,
+//! `pack_copied <= PACK_CEILING` and zero layout copies on every dataset.
+//! If the totals still flake on a badly loaded host, bump `LIP_PERF_TOL`
+//! rather than deleting the gate.
 
 use std::time::Instant;
 
@@ -255,6 +258,20 @@ fn main() {
             failures.push(format!(
                 "{name:?}: pack_copied {pack_copied} B exceeds the post-tiling \
                  ceiling of {PACK_CEILING} B"
+            ));
+        }
+        let violations = delta.layout_copy_violations();
+        if !violations.is_empty() {
+            failures.push(format!(
+                "{name:?}: layout ops copied data (offending kinds: {})",
+                violations.join(", ")
+            ));
+        }
+        let layout_baseline = delta.baseline_layout_bytes();
+        if copied_bytes >= layout_baseline {
+            failures.push(format!(
+                "{name:?}: forward copied {copied_bytes} B, not below the \
+                 pre-view baseline of {layout_baseline} B"
             ));
         }
 

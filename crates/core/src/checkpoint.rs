@@ -236,7 +236,8 @@ pub fn load(path: &Path) -> Result<(CheckpointHeader, Vec<Tensor>), CheckpointEr
 
 /// Decode a checkpoint already in memory. Takes `&[u8]`, so concurrent
 /// readers can decode one shared buffer (the serving cache does; the
-/// shared-cache concurrency tests race it).
+/// shared-cache concurrency tests race it). A parameter holding a NaN or
+/// ±Inf is [`CheckpointError::Corrupt`], naming the parameter.
 pub fn load_bytes(raw: &[u8]) -> Result<(CheckpointHeader, Vec<Tensor>), CheckpointError> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Result<&[u8], CheckpointError> {
@@ -296,6 +297,15 @@ pub fn load_bytes(raw: &[u8]) -> Result<(CheckpointHeader, Vec<Tensor>), Checkpo
         let frame = take(&mut cursor, frame_len)?;
         let t = Tensor::from_bytes(frame)
             .map_err(|e| CheckpointError::Corrupt(format!("tensor {i}: {e}")))?;
+        // a NaN or ±Inf weight would compile and serve forecasts of nothing
+        // but non-finite values; refuse it here, by name
+        if let Some(at) = t.data().iter().position(|v| !v.is_finite()) {
+            return Err(CheckpointError::Corrupt(format!(
+                "parameter '{}' holds {} at element {at}",
+                header.param_names[i],
+                t.data()[at]
+            )));
+        }
         tensors.push(t);
     }
     Ok((header, tensors))

@@ -196,7 +196,7 @@ pub struct BoundModel {
     /// End of the pooled-slot segment (scratch begins here). The shadow
     /// checker uses it to tell slot writes (allocation events, must hit
     /// non-live storage) from scratch writes (freely reused every step).
-    #[cfg_attr(not(any(debug_assertions, feature = "shadow-writes")), allow(dead_code))]
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     slots_end: usize,
     explicit: bool,
     batch_size: usize,
@@ -740,7 +740,7 @@ impl BoundModel {
 }
 
 /// Per-element arena state tracked by the dynamic shadow-writes checker.
-#[cfg(any(debug_assertions, feature = "shadow-writes"))]
+#[cfg(debug_assertions)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Shadow {
     /// Never written since bind (or since its slot was last freed and the
@@ -752,11 +752,11 @@ enum Shadow {
     Dead,
 }
 
-#[cfg(any(debug_assertions, feature = "shadow-writes"))]
+#[cfg(debug_assertions)]
 impl BoundModel {
-    /// Dynamic shadow-writes checker (debug builds and the `shadow-writes`
-    /// feature only): replay the bound step list over a per-element shadow
-    /// arena — `Undef | Live | Dead` — and validate at this concrete `B`
+    /// Dynamic shadow-writes checker (debug builds only): replay the bound
+    /// step list over a per-element shadow arena — `Undef | Live | Dead` —
+    /// and validate at this concrete `B`
     /// exactly the claims `lip_analyze::verify_schedule` proves symbolically
     /// for all `B`:
     ///

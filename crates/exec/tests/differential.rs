@@ -5,6 +5,8 @@
 //! the serialized prediction so a divergence prints as one number, not two
 //! tensors.
 
+use std::collections::HashMap;
+
 use lip_analyze::synthetic_batch;
 use lip_autograd::Graph;
 use lip_data::pipeline::prepare;
@@ -26,10 +28,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The tape engine's prediction bytes (eval mode, like the executor).
 fn tape_pred_bytes(model: &LiPFormer, batch: &Batch) -> Vec<u8> {
+    tape_forward(model, batch).0
+}
+
+/// [`tape_pred_bytes`] plus the tape's peak allocation: the bytes of every
+/// distinct storage buffer the recorded graph retains (views share storage
+/// and count once).
+fn tape_forward(model: &LiPFormer, batch: &Batch) -> (Vec<u8>, usize) {
     let mut rng = StdRng::seed_from_u64(0);
     let mut g = Graph::new(model.store());
     let y = model.forward(&mut g, batch, false, &mut rng);
-    g.value(y).to_bytes()
+    let mut storages: HashMap<usize, usize> = HashMap::new();
+    for i in 0..g.len() {
+        let t = g.value(g.var(i));
+        let elems = t.view_ref().data.len();
+        let entry = storages.entry(t.storage_ptr()).or_insert(0);
+        *entry = (*entry).max(elems);
+    }
+    let peak = storages.values().sum::<usize>() * std::mem::size_of::<f32>();
+    (g.value(y).to_bytes(), peak)
 }
 
 fn implicit_spec() -> CovariateSpec {
@@ -78,7 +95,18 @@ fn nine_benchmarks_byte_identical_across_batch_sizes_and_threads() {
             // verifier's claims at this concrete B
             let shadow = bound.shadow_check();
             assert!(shadow.is_empty(), "{name:?}: b={b} shadow violations: {shadow:?}");
-            let want = fnv1a(&lip_par::with_threads(1, || tape_pred_bytes(&model, &batch)));
+            let (tape_bytes, tape_peak) =
+                lip_par::with_threads(1, || tape_forward(&model, &batch));
+            if b == 32 {
+                // the executor's reason to exist at serving batch sizes: one
+                // liveness-packed arena smaller than the tape's live tensors
+                assert!(
+                    bound.arena_bytes() < tape_peak,
+                    "{name:?}: arena {} B does not undercut tape peak {tape_peak} B",
+                    bound.arena_bytes()
+                );
+            }
+            let want = fnv1a(&tape_bytes);
             for &t in &[1usize, 8] {
                 let got = fnv1a(&lip_par::with_threads(t, || bound.run(&batch).to_bytes()));
                 assert_eq!(got, want, "{name:?}: b={b} threads={t} diverged from tape");

@@ -65,6 +65,14 @@ pub enum ServeError {
         /// Underlying `CompileError` rendering.
         message: String,
     },
+    /// The forward produced a NaN or ±Inf: inputs finite in `f32` still
+    /// overflowed inside the model. A forecast is never encoded with
+    /// non-finite values (they would serialize as `null`).
+    NonFiniteOutput {
+        /// The offending entry of a multi-window request's `windows`;
+        /// `None` in the single-window form.
+        window: Option<usize>,
+    },
     /// The batch runner died or the response channel was severed.
     Internal {
         /// What broke.
@@ -84,7 +92,8 @@ impl ServeError {
             ServeError::Checkpoint { .. }
             | ServeError::Config { .. }
             | ServeError::Contract { .. }
-            | ServeError::Compile { .. } => 422,
+            | ServeError::Compile { .. }
+            | ServeError::NonFiniteOutput { .. } => 422,
             ServeError::Internal { .. } => 500,
         }
     }
@@ -101,6 +110,7 @@ impl ServeError {
             ServeError::Config { .. } => "bad_config",
             ServeError::Contract { .. } => "bad_batch",
             ServeError::Compile { .. } => "compile_failed",
+            ServeError::NonFiniteOutput { .. } => "non_finite_output",
             ServeError::Internal { .. } => "internal",
         }
     }
@@ -116,6 +126,13 @@ impl ServeError {
             ServeError::NotFound { path } => format!("no route for '{path}'"),
             ServeError::MethodNotAllowed { method, path } => {
                 format!("method {method} not allowed on '{path}'")
+            }
+            ServeError::NonFiniteOutput { window } => {
+                let what = window.map_or("the window".to_string(), |k| format!("windows[{k}]"));
+                format!(
+                    "the forecast for {what} is not finite: the input overflowed the \
+                     model's forward"
+                )
             }
             ServeError::Checkpoint { message }
             | ServeError::Config { message }

@@ -33,7 +33,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection-handling worker threads.
     pub workers: usize,
-    /// Batching and forward-budget options shared by all sessions.
+    /// Batching options shared by all sessions.
     pub session: SessionOptions,
     /// Per-request size/time ceilings.
     pub limits: Limits,
@@ -292,6 +292,9 @@ fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<Str
         // an explicit batch: one bind(B) forward, no coalescing wait
         drop(ticket);
         let outs = session.forecast_many(jobs).map_err(fail)?;
+        if let Some(k) = outs.iter().position(|o| !finite(&o.rows)) {
+            return Err(fail(ServeError::NonFiniteOutput { window: Some(k) }));
+        }
         let response = BatchForecastResponse {
             batched: outs.len(),
             run_us: outs.first().map_or(0, |o| o.run_us),
@@ -303,6 +306,9 @@ fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<Str
         let job = jobs.into_iter().next().expect("legacy form is one window");
         let out = session.forecast(job, ticket).map_err(fail)?;
         session.stats.queue(out.queue_us);
+        if !finite(&out.rows) {
+            return Err(fail(ServeError::NonFiniteOutput { window: None }));
+        }
         let response = ForecastResponse {
             forecast: rows_of(&out),
             model: session.key_hex.clone(),
@@ -314,6 +320,11 @@ fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<Str
     };
     session.stats.latency(started.elapsed().as_micros() as u64);
     Ok(body)
+}
+
+/// Whether every value of a forecast can be encoded as a JSON number.
+fn finite(rows: &[f32]) -> bool {
+    rows.iter().all(|v| v.is_finite())
 }
 
 /// Apply the optional checkpoint-root jail.

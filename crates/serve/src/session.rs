@@ -81,7 +81,6 @@ pub struct Session {
     pub stats: Arc<ModelStats>,
     compiled: CompiledModel,
     batcher: Batcher<Job, JobOut>,
-    forward_threads: Option<usize>,
 }
 
 impl Session {
@@ -182,14 +181,8 @@ impl Session {
             return jobs.iter().map(|_| Err(message.clone())).collect();
         }
 
-        let mut bound = match self.forward_threads {
-            Some(t) => lip_par::with_threads(t, || self.compiled.bind(b)),
-            None => self.compiled.bind(b),
-        };
-        let pred = match self.forward_threads {
-            Some(t) => lip_par::with_threads(t, || bound.run(&batch)),
-            None => bound.run(&batch),
-        };
+        let mut bound = self.compiled.bind(b);
+        let pred = bound.run(&batch);
         let run_us = started.elapsed().as_micros() as u64;
         self.stats.batch(b);
 
@@ -263,10 +256,6 @@ impl CheckBatch for BatchContract {
 pub struct SessionOptions {
     /// Micro-batch flush policy.
     pub batch: BatchPolicy,
-    /// `lip-par` budget for each batched forward (`None` = process
-    /// default). Results are bit-identical either way; this is a
-    /// throughput/latency knob.
-    pub forward_threads: Option<usize>,
 }
 
 type Slot = Arc<OnceLock<Result<Arc<Session>, ServeError>>>;
@@ -385,7 +374,6 @@ impl SessionCache {
                 stats: registry.model(&key_hex),
                 compiled,
                 batcher: Batcher::with_in_flight(self.options.batch, Arc::clone(&self.in_flight)),
-                forward_threads: self.options.forward_threads,
             }))
         });
         if res.is_ok() {

@@ -9,9 +9,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use lip_data::pipeline::{prepare, PreparedData};
-use lip_data::window::Batch;
 use lip_data::{generate, DatasetName, GeneratorConfig};
-use lip_serve::proto::ForecastRequest;
+use lip_serve::proto::{ForecastRequest, ForecastWindow};
 use lip_serve::{Server, ServerConfig};
 use lipformer::{checkpoint, Forecaster, LiPFormer, LiPFormerConfig};
 
@@ -45,19 +44,16 @@ pub fn fixture(name: DatasetName, tag: &str) -> Fixture {
 
 /// The `POST /forecast` body for window `i` of the fixture's train split.
 pub fn request_body(fx: &Fixture, window: usize) -> String {
-    let batch = fx.prep.train.batch(&[window]);
-    batch_request_json(&fx.ckpt.to_string_lossy(), fx, &batch)
+    window_body(fx, self::window(fx, window))
 }
 
-/// Render a `B = 1` [`Batch`] as a request body against `ckpt`.
-pub fn batch_request_json(ckpt: &str, fx: &Fixture, batch: &Batch) -> String {
-    assert_eq!(batch.len(), 1, "request bodies are single windows");
+/// Window `w` of the fixture's train split as a request window.
+pub fn window(fx: &Fixture, w: usize) -> ForecastWindow {
+    let batch = fx.prep.train.batch(&[w]);
     let rows = |t: &lip_tensor::Tensor, width: usize| -> Vec<Vec<f32>> {
         t.contiguous().data().chunks(width).map(<[f32]>::to_vec).collect()
     };
-    let req = ForecastRequest {
-        checkpoint: ckpt.to_string(),
-        spec: fx.prep.spec.clone(),
+    ForecastWindow {
         x: rows(&batch.x, fx.prep.channels),
         time_feats: rows(&batch.time_feats, fx.prep.spec.time_features),
         cov_numerical: batch
@@ -65,9 +61,34 @@ pub fn batch_request_json(ckpt: &str, fx: &Fixture, batch: &Batch) -> String {
             .as_ref()
             .map(|t| rows(t, fx.prep.spec.numerical)),
         cov_categorical: batch.cov_categorical.clone(),
+    }
+}
+
+/// A single-window body carrying `window` against the fixture's checkpoint.
+pub fn window_body(fx: &Fixture, window: ForecastWindow) -> String {
+    lip_serde::to_string(&ForecastRequest {
+        checkpoint: fx.ckpt.to_string_lossy().into_owned(),
+        spec: fx.prep.spec.clone(),
+        x: window.x,
+        time_feats: window.time_feats,
+        cov_numerical: window.cov_numerical,
+        cov_categorical: window.cov_categorical,
         windows: None,
-    };
-    lip_serde::to_string(&req)
+    })
+}
+
+/// A `windows`-form body carrying `windows` against the fixture's
+/// checkpoint.
+pub fn windows_body(fx: &Fixture, windows: Vec<ForecastWindow>) -> String {
+    lip_serde::to_string(&ForecastRequest {
+        checkpoint: fx.ckpt.to_string_lossy().into_owned(),
+        spec: fx.prep.spec.clone(),
+        x: vec![],
+        time_feats: vec![],
+        cov_numerical: None,
+        cov_categorical: None,
+        windows: Some(windows),
+    })
 }
 
 /// Start a server with `config` (always on an ephemeral loopback port).

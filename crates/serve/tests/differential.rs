@@ -1,8 +1,9 @@
 //! Differential contract: forecasts served over the socket are
 //! **byte-identical** (fnv1a golden hashes over the f32 bit patterns) to
 //! running the same windows directly through `lip-exec`'s `BoundModel::run`
-//! — across batch sizes, coalesced vs sequential serving, and forward
-//! thread budgets.
+//! — on all nine benchmark datasets, across batch sizes, and coalesced vs
+//! sequential serving. The served path runs at the process thread budget,
+//! so the test suite's default and `LIP_THREADS=1` passes cover both.
 
 mod common;
 
@@ -91,7 +92,7 @@ fn coalesced_hashes(
     (hashes, max_batched.load(Ordering::Relaxed))
 }
 
-fn coalescing_config(max_batch: usize, forward_threads: Option<usize>) -> ServerConfig {
+fn coalescing_config(max_batch: usize) -> ServerConfig {
     ServerConfig {
         workers: max_batch.max(4),
         session: SessionOptions {
@@ -101,7 +102,6 @@ fn coalescing_config(max_batch: usize, forward_threads: Option<usize>) -> Server
                 // client still in flight
                 max_wait: Duration::from_millis(150),
             },
-            forward_threads,
         },
         ..ServerConfig::default()
     }
@@ -109,13 +109,18 @@ fn coalescing_config(max_batch: usize, forward_threads: Option<usize>) -> Server
 
 #[test]
 fn socket_forecasts_match_direct_execution() {
-    let fx = common::fixture(DatasetName::ETTh1, "diff-main");
-    for &b in &[1usize, 7, 32] {
-        let golden = direct_hashes(&fx, b, 1);
-        let server = common::start(coalescing_config(b.max(2), None));
-        let sequential = sequential_hashes(&fx, server.addr(), b);
-        assert_eq!(sequential, golden, "sequential serving diverged at B={b}");
-        server.shutdown();
+    for name in DatasetName::all() {
+        // ETTh1 sweeps the batch sizes; one size per other dataset keeps
+        // the debug-build runtime down
+        let sizes: &[usize] = if name == DatasetName::ETTh1 { &[1, 7, 32] } else { &[7] };
+        let fx = common::fixture(name, "diff-main");
+        for &b in sizes {
+            let golden = direct_hashes(&fx, b, 1);
+            let server = common::start(coalescing_config(b.max(2)));
+            let sequential = sequential_hashes(&fx, server.addr(), b);
+            assert_eq!(sequential, golden, "{name:?}: sequential serving diverged at B={b}");
+            server.shutdown();
+        }
     }
 }
 
@@ -129,7 +134,7 @@ fn coalesced_equals_sequential_equals_direct() {
     // at least one multi-request batch within a few attempts
     let mut best_batch = 0;
     for attempt in 0..5 {
-        let server = common::start(coalescing_config(b, None));
+        let server = common::start(coalescing_config(b));
         let (hashes, max_batched) = coalesced_hashes(&fx, server.addr(), b);
         assert_eq!(
             hashes, golden,
@@ -157,16 +162,17 @@ fn forward_thread_budget_does_not_change_bytes() {
     let golden4 = direct_hashes(&fx, b, 4);
     assert_eq!(golden1, golden4, "direct execution is thread-count dependent");
 
-    // …and so must the served path under either budget
-    for threads in [1usize, 4] {
-        let server = common::start(coalescing_config(b, Some(threads)));
-        let (hashes, _) = coalesced_hashes(&fx, server.addr(), b);
-        assert_eq!(
-            hashes, golden1,
-            "served bytes diverged at forward_threads={threads}"
-        );
-        server.shutdown();
-    }
+    // …and so must the served path at the process budget, which the
+    // default and `LIP_THREADS=1` test passes set to two different values
+    let server = common::start(coalescing_config(b));
+    let (hashes, _) = coalesced_hashes(&fx, server.addr(), b);
+    assert_eq!(
+        hashes,
+        golden1,
+        "served bytes diverged at {} thread(s)",
+        lip_par::max_threads()
+    );
+    server.shutdown();
 }
 
 #[test]

@@ -12,10 +12,14 @@ use std::io::Write;
 use std::net::Shutdown;
 use std::time::Duration;
 
+use std::sync::{Arc, Barrier};
+
 use lip_data::DatasetName;
 use lip_serve::http::Limits;
+use lip_serve::proto::ForecastWindow;
 use lip_serve::{Server, ServerConfig};
-use lipformer::LiPFormerConfig;
+use lip_tensor::Tensor;
+use lipformer::{checkpoint, Forecaster, LiPFormer, LiPFormerConfig};
 
 /// Short timeouts so the slow-writer scenarios finish in milliseconds.
 fn fast_limits() -> Limits {
@@ -321,6 +325,85 @@ fn hostile_checkpoints() {
     assert_eq!(resp.status, 422, "body: {}", resp.body);
     assert_eq!(resp.error_code(), "bad_config", "body: {}", resp.body);
     b.assert_healthy("hostile config checkpoint");
+
+    // a well-formed bundle with one NaN weight: refused at load, by name,
+    // instead of compiling into a model that forecasts nothing but NaN
+    let (header, mut tensors) = checkpoint::load(&b.fx.ckpt).expect("load fixture checkpoint");
+    let mut data = tensors[0].contiguous().data().to_vec();
+    data[0] = f32::NAN;
+    tensors[0] = Tensor::from_vec(data, tensors[0].shape());
+    let mut model = LiPFormer::new(header.config.clone(), &b.fx.prep.spec, 0);
+    model.store_mut().restore(&tensors);
+    let nan = dir.join("nan_weight.ckpt");
+    checkpoint::save(&nan, &header.config, model.store()).expect("write NaN checkpoint");
+    let body = b
+        .good_body
+        .replace(&b.fx.ckpt.to_string_lossy().to_string(), &nan.to_string_lossy());
+    let resp = common::post(addr, "/forecast", &body);
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "bad_checkpoint", "body: {}", resp.body);
+    assert!(resp.body.contains(&header.param_names[0]), "body: {}", resp.body);
+    b.assert_healthy("NaN weight in checkpoint");
+
+    b.server.shutdown();
+}
+
+/// Window `w` with `x` at ±3e38 on alternate time steps: every value is
+/// finite in `f32`, so the request decodes, but the forward overflows.
+fn overflowing_window(fx: &common::Fixture, w: usize) -> ForecastWindow {
+    let mut window = common::window(fx, w);
+    for (t, row) in window.x.iter_mut().enumerate() {
+        row.fill(if t % 2 == 0 { 3e38 } else { -3e38 });
+    }
+    window
+}
+
+#[test]
+fn overflowing_forward_is_a_typed_error_not_nulls() {
+    let b = Battery::new("faults-overflow");
+    let addr = b.server.addr();
+    let bad_body = common::window_body(&b.fx, overflowing_window(&b.fx, 0));
+
+    let resp = common::post(addr, "/forecast", &bad_body);
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "non_finite_output");
+    assert!(!resp.body.contains("windows["), "body: {}", resp.body);
+    let stats = common::get(addr, "/stats").json();
+    assert_eq!(stats.field::<u64>("errors"), Ok(1), "counted as an error");
+    let models = stats.get("models").expect("models").as_array().expect("array");
+    assert_eq!(models[0].field::<u64>("errors"), Ok(1), "counted as a model error");
+    b.assert_healthy("overflowing forward");
+
+    // a good request racing the bad one keeps its own finite rows, whether
+    // or not the two share a coalesced forward
+    let barrier = Arc::new(Barrier::new(2));
+    let clients: Vec<_> = [bad_body, b.good_body.clone()]
+        .into_iter()
+        .map(|body| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                common::post(addr, "/forecast", &body)
+            })
+        })
+        .collect();
+    let resps: Vec<_> = clients.into_iter().map(|c| c.join().expect("client")).collect();
+    assert_eq!(resps[0].status, 422, "body: {}", resps[0].body);
+    assert_eq!(resps[1].status, 200, "body: {}", resps[1].body);
+    assert!(common::forecast_rows(&resps[1].body).iter().flatten().all(|v| v.is_finite()));
+    b.assert_healthy("overflowing forward beside a good request");
+
+    // in the multi-window form the error names the offending window
+    let windows = vec![
+        common::window(&b.fx, 0),
+        overflowing_window(&b.fx, 1),
+        common::window(&b.fx, 2),
+    ];
+    let resp = common::post(addr, "/forecast", &common::windows_body(&b.fx, windows));
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "non_finite_output");
+    assert!(resp.body.contains("windows[1]"), "body: {}", resp.body);
+    b.assert_healthy("overflowing window in a multi-window request");
 
     b.server.shutdown();
 }

@@ -7,40 +7,9 @@ mod common;
 
 use lip_data::DatasetName;
 use lip_exec::compile_inference;
-use lip_serve::proto::{ForecastRequest, ForecastWindow, MAX_WINDOWS};
+use lip_serve::proto::MAX_WINDOWS;
 use lip_serve::ServerConfig;
 use lipformer::checkpoint;
-
-/// The fixture's window `w` as a per-window request object.
-fn window_of(fx: &common::Fixture, w: usize) -> ForecastWindow {
-    let batch = fx.prep.train.batch(&[w]);
-    let rows = |t: &lip_tensor::Tensor, width: usize| -> Vec<Vec<f32>> {
-        t.contiguous().data().chunks(width).map(<[f32]>::to_vec).collect()
-    };
-    ForecastWindow {
-        x: rows(&batch.x, fx.prep.channels),
-        time_feats: rows(&batch.time_feats, fx.prep.spec.time_features),
-        cov_numerical: batch
-            .cov_numerical
-            .as_ref()
-            .map(|t| rows(t, fx.prep.spec.numerical)),
-        cov_categorical: batch.cov_categorical.clone(),
-    }
-}
-
-/// A `windows`-form request body over the fixture's windows `0..count`.
-fn multi_window_body(fx: &common::Fixture, count: usize) -> String {
-    let req = ForecastRequest {
-        checkpoint: fx.ckpt.to_string_lossy().into_owned(),
-        spec: fx.prep.spec.clone(),
-        x: vec![],
-        time_feats: vec![],
-        cov_numerical: None,
-        cov_categorical: None,
-        windows: Some((0..count).map(|w| window_of(fx, w)).collect()),
-    };
-    lip_serde::to_string(&req)
-}
 
 /// Per-window hashes of a multi-window 200 body, asserting the single-batch
 /// contract on the way.
@@ -101,7 +70,8 @@ fn multi_window_equals_sequential_equals_direct() {
     assert_eq!(sequential, golden, "sequential serving diverged from direct");
 
     // the same windows in one multi-window body
-    let resp = common::post(server.addr(), "/forecast", &multi_window_body(&fx, count));
+    let windows = (0..count).map(|w| common::window(&fx, w)).collect();
+    let resp = common::post(server.addr(), "/forecast", &common::windows_body(&fx, windows));
     assert_eq!(resp.status, 200, "{}", resp.body);
     let multi = multi_hashes(&resp.body, count);
     assert_eq!(
@@ -125,7 +95,7 @@ fn malformed_multi_window_bodies_are_rejected() {
     assert_eq!(resp.status, 400, "{}", resp.body);
 
     // both a windows array and a top-level window
-    let one = lip_serde::to_string(&window_of(&fx, 0));
+    let one = lip_serde::to_string(&common::window(&fx, 0));
     let body = format!(
         r#"{{"checkpoint": "{ckpt}", "windows": [{one}], "x": [[1.0]], "time_feats": []}}"#
     );

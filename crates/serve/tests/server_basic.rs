@@ -45,7 +45,6 @@ fn forecast_roundtrip_and_stats() {
         workers: 6,
         session: SessionOptions {
             batch: BatchPolicy { max_batch: 8, max_wait },
-            ..SessionOptions::default()
         },
         ..ServerConfig::default()
     });

@@ -22,8 +22,8 @@
 //! * All kernels partition the *logical* index space through `lip-par`, so
 //!   results are bit-identical at any thread count and independent of how
 //!   operands happen to be laid out in storage. The [`stats`] module counts
-//!   bytes copied vs. bytes avoided per layout op for the `mem_baseline`
-//!   bench.
+//!   bytes copied vs. bytes avoided per layout op for the `perf_suite`
+//!   kernel gate.
 //! * Shape errors panic with a descriptive message, mirroring `ndarray` and
 //!   PyTorch semantics. Fallible checking is available through
 //!   [`shape::broadcast_shapes`].

@@ -4,10 +4,10 @@
 //! ops (`permute`, `slice_axis`, `broadcast_to`, stride-compatible `reshape`,
 //! `sliding_window`) record the bytes they *avoided* copying, while
 //! materializations (`contiguous()` packing for dense kernels, non-viewable
-//! reshapes) record the bytes they actually moved. The `mem_baseline` bench
-//! snapshots these counters around a model forward to prove the zero-copy
-//! guarantee instead of asserting it; `scripts/verify.sh` greps the resulting
-//! JSON and fails the build if any permute/slice/broadcast copied.
+//! reshapes) record the bytes they actually moved. The `perf_suite` kernel
+//! gate snapshots these counters around a model forward to prove the
+//! zero-copy guarantee instead of asserting it, and fails if any
+//! permute/slice/broadcast/unfold copied.
 //!
 //! Counters are relaxed atomics bumped once per tensor-level op (never inside
 //! element loops), so the accounting costs nothing measurable and does not

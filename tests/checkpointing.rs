@@ -171,6 +171,41 @@ fn checkpoint_api_roundtrips_bit_exactly() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A NaN or ±Inf weight must be refused at load with a typed error naming
+/// the parameter — never decoded into a model that forecasts non-finite
+/// values.
+#[test]
+fn non_finite_parameter_is_rejected_by_name() {
+    let (path, _) = valid_checkpoint("non_finite.ckpt");
+    let (header, tensors) = checkpoint::load(&path).unwrap();
+    let spec = CovariateSpec {
+        numerical: 0,
+        cardinalities: vec![],
+        time_features: 4,
+    };
+    for (which, bad) in [(0, f32::NAN), (tensors.len() - 1, f32::INFINITY)] {
+        let mut poisoned = tensors.clone();
+        let mut data = poisoned[which].contiguous().data().to_vec();
+        let at = data.len() / 2;
+        data[at] = bad;
+        poisoned[which] = Tensor::from_vec(data, poisoned[which].shape());
+        let mut model = LiPFormer::new(header.config.clone(), &spec, 0);
+        model.store_mut().restore(&poisoned);
+        checkpoint::save(&path, &header.config, model.store()).unwrap();
+
+        let name = &header.param_names[which];
+        match checkpoint::load(&path) {
+            Err(CheckpointError::Corrupt(m)) => assert!(
+                m.contains(&format!("'{name}'")) && m.contains(&format!("{bad} at element {at}")),
+                "error must name parameter '{name}' and the {bad}: {m}"
+            ),
+            Err(e) => panic!("{bad} in '{name}': wrong error kind: {e}"),
+            Ok(_) => panic!("{bad} in '{name}' loaded"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn snapshot_restore_checks_shapes() {
     let ds = generate(DatasetName::ETTh2, GeneratorConfig::test(82));
