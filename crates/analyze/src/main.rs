@@ -357,7 +357,8 @@ fn verify_plan_sweep() -> usize {
     } else {
         println!(
             "kernel audit: {mutating_sites} par_chunks_mut site(s); no unsafe, \
-             no raw threads, no direct for_each_chunk in tensor kernels"
+             no raw threads, no direct for_each_chunk, no core-count lookups \
+             in tensor kernels"
         );
     }
     findings

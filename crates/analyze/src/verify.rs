@@ -40,7 +40,8 @@
 //!    size `c ≥ 1`; [`verify_partition_bounded`] ties the formula to the
 //!    real [`lip_par::Partition`] by exhaustive equivalence over a bounded
 //!    domain; and [`audit_kernel_source`] checks that tensor kernels route
-//!    all parallel mutation through the disjoint-window API.
+//!    all parallel mutation through the disjoint-window API and never look
+//!    up the core count.
 //!
 //! [`verify_schedule`] is the entry point for checks 1–4; `lip-exec` runs
 //! it during compilation and `lip-analyze --verify-plan` sweeps it across
@@ -839,10 +840,12 @@ pub fn verify_partition_symbolic() -> Vec<VerifyFinding> {
 
 /// Audit one tensor-kernel source file: every parallel mutation must go
 /// through `lip_par::par_chunks_mut` (whose windows the partition proof
-/// covers). Flags `unsafe` blocks, raw thread spawns, and direct use of
+/// covers). Flags `unsafe` blocks, raw thread spawns, direct use of
 /// `for_each_chunk` (whose closure could mutate captured state without the
-/// disjoint-window discipline). Returns the number of `par_chunks_mut`
-/// call sites found alongside any findings.
+/// disjoint-window discipline), and core-count lookups (kernels take their
+/// budget from lip-par; chunks sized by core count would break the rule
+/// that partitions depend on size alone). Returns the number of
+/// `par_chunks_mut` call sites found alongside any findings.
 pub fn audit_kernel_source(name: &str, text: &str) -> (usize, Vec<VerifyFinding>) {
     let mut findings = Vec::new();
     let mut sites = 0usize;
@@ -866,6 +869,13 @@ pub fn audit_kernel_source(name: &str, text: &str) -> (usize, Vec<VerifyFinding>
                 &mut findings,
                 "direct for_each_chunk — mutation must use the disjoint-window \
                  par_chunks_mut API",
+            );
+        }
+        if line.contains("available_parallelism") {
+            flag(
+                &mut findings,
+                "core-count lookup — kernels take their budget from lip-par, and \
+                 partitions depend on size alone",
             );
         }
         sites += line.matches("par_chunks_mut(").count();
@@ -955,6 +965,12 @@ mod tests {
         assert!(f[0].message.contains("unsafe"));
         let (_, f) = audit_kernel_source("x.rs", "lip_par::for_each_chunk(p, |i, r| ());\n");
         assert_eq!(f.len(), 1);
+        let (_, f) = audit_kernel_source(
+            "x.rs",
+            "// sized by available_parallelism? no\nlet t = std::thread::available_parallelism();\n",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("x.rs:2: core-count lookup"), "{f:?}");
         let (sites, f) =
             audit_kernel_source("x.rs", "// unsafe in a comment is fine\npar_chunks_mut(out, 4, |_, _, d| ());\n");
         assert!(f.is_empty(), "{f:?}");

@@ -24,8 +24,12 @@
 //!
 //! The number of workers a parallel region may use comes from, in order:
 //! a scoped [`with_threads`] override (used by the test battery to sweep
-//! thread counts in-process), the `LIP_THREADS` environment variable (read
-//! once per process), and finally [`std::thread::available_parallelism`].
+//! thread counts in-process), the `LIP_THREADS` environment variable, and
+//! finally [`std::thread::available_parallelism`]. The default budget (the
+//! last two) is resolved **once per process**, on first use: kernels ask
+//! for the budget on every call, and `available_parallelism` re-reads the
+//! CPU affinity and cgroup files each time. So a later change to
+//! `LIP_THREADS`, the affinity mask or the cgroup quota is not seen.
 //! Nested regions run serially on their caller: the pool never deadlocks on
 //! itself and oversubscription stays bounded at one level of fan-out.
 //!
@@ -84,28 +88,28 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// `LIP_THREADS`, parsed once per process. `Some(n >= 1)` when set and valid.
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("LIP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|n| n.max(1))
+/// The process-wide default budget: `LIP_THREADS` when it parses as an
+/// integer (`0` counts as 1), else the machine's available parallelism.
+/// Resolved on first use; every later call is one atomic load.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        match std::env::var("LIP_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok()) {
+            Some(n) => n.max(1),
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
     })
 }
 
 /// The thread budget for parallel regions started by this thread:
 /// [`with_threads`] override, else `LIP_THREADS`, else the machine's
 /// available parallelism. Always at least 1.
+///
+/// The default (everything but the override) is resolved once per process,
+/// so this costs a thread-local check and an atomic load; a later change
+/// to the environment, the CPU affinity or the cgroup quota is not seen.
 pub fn max_threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
-        return n;
-    }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    THREAD_OVERRIDE.with(Cell::get).unwrap_or_else(default_threads)
 }
 
 /// Run `f` with the thread budget pinned to `threads` on this thread.
@@ -156,5 +160,52 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_budget_rejected() {
         with_threads(0, || ());
+    }
+
+    /// Read syscalls made so far by the calling thread (`None` where the
+    /// kernel does not expose per-thread I/O accounting).
+    fn thread_read_syscalls() -> Option<u64> {
+        let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+        io.lines().find_map(|l| l.strip_prefix("syscr:")).and_then(|v| v.trim().parse().ok())
+    }
+
+    #[test]
+    fn default_budget_lookup_makes_no_syscalls() {
+        // kernels ask for the budget on every call, so after the first
+        // lookup it must not touch the affinity or cgroup files again
+        max_threads();
+        let Some(before) = thread_read_syscalls() else {
+            eprintln!("skipped: /proc/thread-self/io is not readable here");
+            return;
+        };
+        for _ in 0..10_000 {
+            std::hint::black_box(max_threads());
+        }
+        let reads = thread_read_syscalls().expect("readable a moment ago") - before;
+        assert!(reads < 64, "10,000 budget lookups made {reads} read syscalls");
+    }
+
+    #[test]
+    fn default_budget_is_process_wide_and_overrides_stay_on_their_thread() {
+        let default = max_threads();
+        assert_eq!(std::thread::spawn(max_threads).join().unwrap(), default);
+        let pinned = default + 3;
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            // a thread spawned under an override starts from the default
+            let fresh = with_threads(pinned, || s.spawn(max_threads));
+            let helper = s.spawn(|| {
+                with_threads(pinned, || {
+                    barrier.wait(); // override live on the helper
+                    barrier.wait(); // caller has looked
+                    max_threads()
+                })
+            });
+            barrier.wait();
+            assert_eq!(max_threads(), default, "a helper's override leaked");
+            barrier.wait();
+            assert_eq!(helper.join().unwrap(), pinned);
+            assert_eq!(fresh.join().unwrap(), default);
+        });
     }
 }

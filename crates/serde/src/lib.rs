@@ -49,13 +49,28 @@ pub enum Num {
     F(f64),
 }
 
+/// What kind of failure a [`JsonError`] is, for callers that answer the
+/// kinds differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// Malformed text, a type mismatch, a missing field or an integer out
+    /// of range.
+    Invalid,
+    /// A number that is not finite in the float type it decodes to.
+    NonFinite,
+}
+
 /// Decode / encode failure, optionally carrying the 1-based line/column
 /// position in the source text (parse errors attach it; conversion errors
-/// are position-less).
+/// are position-less) and the decode path to the offending value
+/// (conversion errors record it as they unwind: `windows[1].x[3][0]`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     msg: String,
     pos: Option<(usize, usize)>,
+    kind: JsonErrorKind,
+    /// Rendered decode path, grown at the front as the error unwinds.
+    path: String,
 }
 
 impl JsonError {
@@ -64,20 +79,55 @@ impl JsonError {
         JsonError {
             msg: msg.into(),
             pos: None,
+            kind: JsonErrorKind::Invalid,
+            path: String::new(),
         }
     }
 
     /// Error anchored at a source position (1-based line and column).
     pub fn at(msg: impl Into<String>, line: usize, column: usize) -> Self {
         JsonError {
-            msg: msg.into(),
             pos: Some((line, column)),
+            ..JsonError::new(msg)
         }
     }
 
     /// The source position `(line, column)`, if known.
     pub fn position(&self) -> Option<(usize, usize)> {
         self.pos
+    }
+
+    /// What kind of failure this is.
+    pub fn kind(&self) -> JsonErrorKind {
+        self.kind
+    }
+
+    /// Where in the document the failure sits, as `windows[1].x[3][0]`
+    /// (empty at the root).
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    /// Record that this error arose inside object field `key`. Decoders
+    /// that look fields up without [`Json::field`] call this themselves.
+    #[cold]
+    pub fn in_field(self, key: &str) -> Self {
+        self.inside(key.to_string())
+    }
+
+    /// Record that this error arose inside array element `index`.
+    #[cold]
+    fn in_index(self, index: usize) -> Self {
+        self.inside(format!("[{index}]"))
+    }
+
+    /// Prepend one path segment; a key that precedes another key gets a `.`.
+    fn inside(mut self, mut segment: String) -> Self {
+        if self.path.starts_with(|c: char| c != '[') {
+            segment.push('.');
+        }
+        self.path.insert_str(0, &segment);
+        self
     }
 
     /// Prefix the message with surrounding context, keeping the position.
@@ -89,7 +139,11 @@ impl JsonError {
 
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json error: {}", self.msg)?;
+        write!(f, "json error: ")?;
+        if !self.path.is_empty() {
+            write!(f, "{}: ", self.path)?;
+        }
+        write!(f, "{}", self.msg)?;
         if let Some((line, column)) = self.pos {
             write!(f, " at line {line}, column {column}")?;
         }
@@ -113,7 +167,7 @@ impl Json {
         let v = self
             .get(key)
             .ok_or_else(|| JsonError::new(format!("missing field '{key}'")))?;
-        T::from_json(v).map_err(|e| e.with_context(format!("field '{key}'")))
+        T::from_json(v).map_err(|e| e.in_field(key))
     }
 
     pub fn as_bool(&self) -> Result<bool, JsonError> {
@@ -323,7 +377,10 @@ impl FromJson for f32 {
 /// Kept out of line so the check costs the decode loop one branch.
 #[cold]
 fn not_finite_f32(wide: f64) -> JsonError {
-    JsonError::new(format!("{wide:e} is not a finite f32"))
+    JsonError {
+        kind: JsonErrorKind::NonFinite,
+        ..JsonError::new(format!("{wide:e} is not a finite f32"))
+    }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
@@ -340,7 +397,11 @@ impl<T: ToJson> ToJson for [T] {
 
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_array()?.iter().map(T::from_json).collect()
+        v.as_array()?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| e.in_index(i)))
+            .collect()
     }
 }
 
@@ -582,5 +643,42 @@ mod tests {
             assert!(err.to_string().contains("not a finite f32"), "{big}: {err}");
         }
         assert_eq!(f32::from_json(&Json::Num(Num::F(f64::NAN))).map_err(|_| ()), Err(()));
+    }
+
+    #[test]
+    fn errors_name_their_decode_path() {
+        struct Window {
+            _x: Vec<Vec<f32>>,
+        }
+        impl FromJson for Window {
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                Ok(Window { _x: v.field("x")? })
+            }
+        }
+        struct Request {
+            _windows: Vec<Window>,
+        }
+        impl FromJson for Request {
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                Ok(Request { _windows: v.field("windows")? })
+            }
+        }
+
+        let doc = r#"{"windows": [{"x": [[1]]}, {"x": [[1], [2], [3], [1e39]]}]}"#;
+        let e = from_str::<Request>(doc).err().unwrap();
+        assert_eq!(e.path(), "windows[1].x[3][0]");
+        assert_eq!(e.kind(), JsonErrorKind::NonFinite);
+        assert_eq!(e.to_string(), "json error: windows[1].x[3][0]: 1e39 is not a finite f32");
+
+        // a missing field names the object it is missing from
+        let e = from_str::<Request>(r#"{"windows": [{"x": []}, {}]}"#).err().unwrap();
+        assert_eq!((e.path(), e.kind()), ("windows[1]", JsonErrorKind::Invalid));
+        assert!(e.to_string().ends_with("windows[1]: missing field 'x'"), "{e}");
+        // an array at the root starts the path with its index
+        let e = from_str::<Vec<Vec<u8>>>("[[1], [2, 300]]").unwrap_err();
+        assert_eq!(e.path(), "[1][1]");
+        // parse errors keep their position and carry no path
+        let e = from_str::<Request>(r#"{"windows": [}"#).err().unwrap();
+        assert!(e.position().is_some() && e.path().is_empty(), "{e}");
     }
 }

@@ -2,7 +2,7 @@
 //! status, a stable machine-readable code, and a JSON body — the server
 //! answers errors, it never panics a worker.
 
-use lip_serde::{Json, JsonError};
+use lip_serde::{Json, JsonError, JsonErrorKind};
 
 /// Everything the server can report to a client (or log) as a failure.
 ///
@@ -18,6 +18,14 @@ pub enum ServeError {
         message: String,
         /// `(line, column)` in the request body, when known.
         position: Option<(usize, usize)>,
+    },
+    /// A number in the request body is not finite in `f32` (`1e39`): it
+    /// would reach the model as ±Inf, so it is refused where it is decoded.
+    NonFiniteInput {
+        /// Decode path to the number, e.g. `windows[1].x[3][0]`.
+        path: String,
+        /// Human-readable description.
+        message: String,
     },
     /// The declared or actual body size exceeds the server limit.
     PayloadTooLarge {
@@ -84,7 +92,7 @@ impl ServeError {
     /// HTTP status code for this error.
     pub fn status(&self) -> u16 {
         match self {
-            ServeError::BadRequest { .. } => 400,
+            ServeError::BadRequest { .. } | ServeError::NonFiniteInput { .. } => 400,
             ServeError::PayloadTooLarge { .. } => 413,
             ServeError::Timeout { .. } => 408,
             ServeError::NotFound { .. } => 404,
@@ -102,6 +110,7 @@ impl ServeError {
     pub fn code(&self) -> &'static str {
         match self {
             ServeError::BadRequest { .. } => "bad_request",
+            ServeError::NonFiniteInput { .. } => "non_finite_input",
             ServeError::PayloadTooLarge { .. } => "payload_too_large",
             ServeError::Timeout { .. } => "timeout",
             ServeError::NotFound { .. } => "not_found",
@@ -118,7 +127,9 @@ impl ServeError {
     /// Human-readable message.
     pub fn message(&self) -> String {
         match self {
-            ServeError::BadRequest { message, .. } => message.clone(),
+            ServeError::BadRequest { message, .. } | ServeError::NonFiniteInput { message, .. } => {
+                message.clone()
+            }
             ServeError::PayloadTooLarge { limit, got } => {
                 format!("body of {got} bytes exceeds the {limit}-byte limit")
             }
@@ -152,15 +163,22 @@ impl ServeError {
         )
     }
 
-    /// The JSON error body: `{"error": code, "message": …[, "line", "column"]}`.
+    /// The JSON error body:
+    /// `{"error": code, "message": …[, "line", "column"][, "path"]}`.
     pub fn body(&self) -> Json {
         let mut pairs = vec![
             ("error".to_string(), Json::Str(self.code().to_string())),
             ("message".to_string(), Json::Str(self.message())),
         ];
-        if let ServeError::BadRequest { position: Some((line, column)), .. } = self {
-            pairs.push(("line".to_string(), (*line as u64).into_json()));
-            pairs.push(("column".to_string(), (*column as u64).into_json()));
+        match self {
+            ServeError::BadRequest { position: Some((line, column)), .. } => {
+                pairs.push(("line".to_string(), (*line as u64).into_json()));
+                pairs.push(("column".to_string(), (*column as u64).into_json()));
+            }
+            ServeError::NonFiniteInput { path, .. } => {
+                pairs.push(("path".to_string(), Json::Str(path.clone())));
+            }
+            _ => {}
         }
         Json::Object(pairs)
     }
@@ -191,9 +209,15 @@ impl std::error::Error for ServeError {}
 
 impl From<JsonError> for ServeError {
     fn from(e: JsonError) -> Self {
-        ServeError::BadRequest {
-            position: e.position(),
-            message: e.to_string(),
+        match e.kind() {
+            JsonErrorKind::NonFinite => ServeError::NonFiniteInput {
+                path: e.path().to_string(),
+                message: e.to_string(),
+            },
+            JsonErrorKind::Invalid => ServeError::BadRequest {
+                position: e.position(),
+                message: e.to_string(),
+            },
         }
     }
 }

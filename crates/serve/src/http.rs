@@ -70,11 +70,13 @@ pub enum ReadOutcome {
 }
 
 /// Read one request, enforcing all [`Limits`].
+///
+/// The per-read timeout is a socket option, so the caller sets it once per
+/// connection (`stream.set_read_timeout(Some(limits.read_timeout))`) rather
+/// than paying a syscall per request; the whole-request deadline is
+/// checked here.
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<ReadOutcome, ServeError> {
     let started = Instant::now();
-    stream
-        .set_read_timeout(Some(limits.read_timeout))
-        .map_err(|e| internal(format!("set_read_timeout: {e}")))?;
 
     // ---- header block ---------------------------------------------------
     let mut buf: Vec<u8> = Vec::with_capacity(512);
@@ -214,12 +216,14 @@ pub fn write_response(
         _ => "Unknown",
     };
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    // head and body in one write: one syscall, and no small head packet
+    // left waiting on Nagle/delayed-ACK
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

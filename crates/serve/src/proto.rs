@@ -89,14 +89,14 @@ impl FromJson for ForecastWindow {
         let cov_numerical = match optional("cov_numerical") {
             Some(j) => Some(
                 Vec::<Vec<f32>>::from_json(j)
-                    .map_err(|e| e.with_context("field 'cov_numerical'"))?,
+                    .map_err(|e| e.in_field("cov_numerical"))?,
             ),
             None => None,
         };
         let cov_categorical = match optional("cov_categorical") {
             Some(j) => Some(
                 Vec::<Vec<usize>>::from_json(j)
-                    .map_err(|e| e.with_context("field 'cov_categorical'"))?,
+                    .map_err(|e| e.in_field("cov_categorical"))?,
             ),
             None => None,
         };
@@ -207,27 +207,27 @@ impl FromJson for ForecastRequest {
             v.get(key).filter(|j| !matches!(j, Json::Null))
         };
         let spec = match optional("spec") {
-            Some(j) => CovariateSpec::from_json(j).map_err(|e| e.with_context("field 'spec'"))?,
+            Some(j) => CovariateSpec::from_json(j).map_err(|e| e.in_field("spec"))?,
             None => default_spec(),
         };
         let cov_numerical = match optional("cov_numerical") {
             Some(j) => Some(
                 Vec::<Vec<f32>>::from_json(j)
-                    .map_err(|e| e.with_context("field 'cov_numerical'"))?,
+                    .map_err(|e| e.in_field("cov_numerical"))?,
             ),
             None => None,
         };
         let cov_categorical = match optional("cov_categorical") {
             Some(j) => Some(
                 Vec::<Vec<usize>>::from_json(j)
-                    .map_err(|e| e.with_context("field 'cov_categorical'"))?,
+                    .map_err(|e| e.in_field("cov_categorical"))?,
             ),
             None => None,
         };
         let windows = match optional("windows") {
             Some(j) => Some(
                 Vec::<ForecastWindow>::from_json(j)
-                    .map_err(|e| e.with_context("field 'windows'"))?,
+                    .map_err(|e| e.in_field("windows"))?,
             ),
             None => None,
         };
@@ -237,7 +237,7 @@ impl FromJson for ForecastRequest {
             let absent = |key: &str| -> Result<Vec<Vec<f32>>, JsonError> {
                 match optional(key) {
                     Some(j) => Vec::<Vec<f32>>::from_json(j)
-                        .map_err(|e| e.with_context(format!("field '{key}'"))),
+                        .map_err(|e| e.in_field(key)),
                     None => Ok(vec![]),
                 }
             };

@@ -200,6 +200,13 @@ fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>, shared: &Arc<Shared>)
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
+    // once per connection: `read_request` relies on it for every read
+    if let Err(e) = stream.set_read_timeout(Some(shared.limits.read_timeout)) {
+        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+        let e = ServeError::Internal { message: format!("set_read_timeout: {e}") };
+        let _ = write_error(&mut stream, &e, false);
+        return;
+    }
     loop {
         let request = match http::read_request(&mut stream, &shared.limits) {
             Ok(ReadOutcome::Request(r)) => r,

@@ -246,27 +246,48 @@ fn garbage_and_malformed_requests() {
     assert_eq!(resp.error_code(), "bad_batch");
     b.assert_healthy("short x");
 
-    // a value in x past the f32 range: a typed 400, not a 200 of nulls
-    let mut json = lip_serde::from_str::<lip_serde::Json>(&b.good_body).expect("good body");
-    if let lip_serde::Json::Object(pairs) = &mut json {
-        for (k, v) in pairs.iter_mut() {
-            if k == "x" {
-                if let lip_serde::Json::Array(rows) = v {
-                    rows[0] = lip_serde::Json::Array(vec![
-                        lip_serde::Json::Num(lip_serde::Num::F(1e39));
-                        b.fx.prep.channels
-                    ]);
-                }
+    b.server.shutdown();
+}
+
+/// `json` with the value at `path` (object keys and array indices, from
+/// the root) replaced by the number `value`.
+fn set_number(json: &mut lip_serde::Json, path: &[&str], value: f64) {
+    use lip_serde::Json;
+    let mut at = json;
+    for step in path {
+        at = match at {
+            Json::Object(pairs) => {
+                &mut pairs.iter_mut().find(|(k, _)| k == step).expect("key on the path").1
             }
-        }
+            Json::Array(items) => &mut items[step.parse::<usize>().expect("index on the path")],
+            other => panic!("path runs past the leaf {other:?}"),
+        };
     }
-    let body = json.dump();
-    assert!(body.contains("1e39"), "the request carries 1e39: {body}");
-    let resp = common::post(addr, "/forecast", &body);
-    assert_eq!(resp.status, 400, "body: {}", resp.body);
-    assert_eq!(resp.error_code(), "bad_request");
-    assert!(resp.body.contains("not a finite f32"), "body: {}", resp.body);
-    b.assert_healthy("x value overflowing f32");
+    *at = Json::Num(lip_serde::Num::F(value));
+}
+
+#[test]
+fn non_finite_inputs_are_typed_with_their_path() {
+    let b = Battery::new("faults-non-finite-input");
+    let addr = b.server.addr();
+    let multi = common::windows_body(&b.fx, (0..3).map(|w| common::window(&b.fx, w)).collect());
+
+    // a value past the f32 range: a typed 400 naming where it sits, not a
+    // 200 of nulls
+    for (body, path, value, want) in [
+        (&b.good_body, &["x", "3", "0"][..], 1e39, "x[3][0]"),
+        (&b.good_body, &["time_feats", "2", "1"][..], -1e300, "time_feats[2][1]"),
+        (&multi, &["windows", "1", "x", "3", "0"][..], 1e39, "windows[1].x[3][0]"),
+    ] {
+        let mut json = lip_serde::from_str::<lip_serde::Json>(body).expect("good body");
+        set_number(&mut json, path, value);
+        let resp = common::post(addr, "/forecast", &json.dump());
+        assert_eq!(resp.status, 400, "{want}: {}", resp.body);
+        assert_eq!(resp.error_code(), "non_finite_input", "{want}: {}", resp.body);
+        assert_eq!(resp.json().field::<String>("path").as_deref(), Ok(want), "{}", resp.body);
+        assert!(resp.body.contains("not a finite f32"), "{want}: {}", resp.body);
+        b.assert_healthy(&format!("non-finite input at {want}"));
+    }
 
     b.server.shutdown();
 }

@@ -1,7 +1,8 @@
 //! Property tests for the request parser: randomly generated requests
 //! round-trip bit-exactly, arbitrary byte mutations of valid request
 //! bodies are always answered with `Ok` or a typed error — never a panic —
-//! and any JSON number in `x` decodes to a finite `f32` or a typed error.
+//! and any JSON number in `x` decodes to a finite `f32` or a typed error
+//! naming where it sits.
 
 mod common;
 
@@ -70,6 +71,10 @@ fn prop_byte_mutations_never_panic() {
             // whenever tokenization itself broke
             Err(ServeError::BadRequest { message, .. }) => {
                 assert!(!message.is_empty(), "error without a message");
+            }
+            // a mutated digit or exponent can push a number past f32
+            Err(ServeError::NonFiniteInput { path, .. }) => {
+                assert!(!path.is_empty(), "non-finite input without a path");
             }
             Err(other) => panic!("unexpected error class: {other:?}"),
         }
@@ -154,24 +159,29 @@ fn arbitrary_number(g: &mut lip_rng::prop::Gen) -> String {
 
 #[test]
 fn prop_x_numbers_decode_finite_or_fail_typed() {
+    // outside the generator's ±1e6 range, so its text appears once
+    const MARKER: f32 = 4.0e9;
+    let marker = lip_serde::to_string(&MARKER);
     prop_check!(cases = 500, seed = 0x5e41_0005, |g| {
         let number = arbitrary_number(g);
-        let mut body = lip_serde::to_string(&arbitrary_request(g));
-        // overwrite x[0][0] with the literal
-        let start = body.find("\"x\":[[").expect("x field") + "\"x\":[[".len();
-        let end = start + body[start..].find([',', ']']).expect("end of x[0][0]");
-        body.replace_range(start..end, &number);
+        let mut req = arbitrary_request(g);
+        let (row, col) = (g.usize_in(0, req.x.len()), g.usize_in(0, req.x[0].len()));
+        req.x[row][col] = MARKER;
+        let mut body = lip_serde::to_string(&req);
+        assert_eq!(body.matches(&marker).count(), 1, "{marker} in {body}");
+        body = body.replace(&marker, &number);
 
         let want = number.parse::<f64>().expect("a JSON number is a Rust float") as f32;
         match ForecastRequest::parse(body.as_bytes()) {
             Ok(req) => {
                 assert!(want.is_finite(), "{number} decoded although it overflows f32");
-                assert_eq!(req.x[0][0].to_bits(), want.to_bits(), "{number}");
+                assert_eq!(req.x[row][col].to_bits(), want.to_bits(), "{number}");
                 assert!(req.x.iter().flatten().all(|v| v.is_finite()), "{number}");
                 assert!(!lip_serde::to_string(&req).contains("null"), "{number}");
             }
-            Err(ServeError::BadRequest { message, .. }) => {
+            Err(ServeError::NonFiniteInput { path, message }) => {
                 assert!(!want.is_finite(), "{number} rejected although finite: {message}");
+                assert_eq!(path, format!("x[{row}][{col}]"), "{number}: {message}");
                 assert!(message.contains("not a finite f32"), "{number}: {message}");
             }
             Err(other) => panic!("{number}: unexpected error class: {other:?}"),

@@ -291,43 +291,64 @@ fn two_epoch_training_matches_pre_refactor_golden_hash() {
     );
 }
 
-/// The `LIP_THREADS` env override itself (parsed once per process) must
-/// produce identical logits across processes pinned to different budgets.
+/// The `LIP_THREADS` env override itself (resolved once per process) must
+/// produce identical logits across processes pinned to different budgets,
+/// and each process must resolve the budget the variable asks for: its
+/// value when it parses (`0` counts as 1), else the available parallelism.
 /// Reuses the re-exec pattern: each child is a fresh process with its own
-/// `LIP_THREADS`, writing the serialized logits for the parent to compare.
+/// `LIP_THREADS`, writing the serialized logits and its budget for the
+/// parent to compare.
 #[test]
 fn forward_logits_identical_across_lip_threads_env() {
     if let Ok(out) = std::env::var("LIP_REPRO_LOGITS_OUT") {
         // child mode: one forward pass under this process's LIP_THREADS
         std::fs::write(&out, forward_logit_bytes()).unwrap();
+        std::fs::write(format!("{out}.threads"), lip_par::max_threads().to_string()).unwrap();
         return;
     }
 
     let dir = std::env::temp_dir().join("lipformer_repro_threads");
     std::fs::create_dir_all(&dir).unwrap();
     let exe = std::env::current_exe().expect("test binary path");
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cases = [
+        (Some("1"), 1),
+        (Some("4"), 4),
+        (None, available),
+        (Some("0"), 1),
+        (Some("junk"), available),
+    ];
     let mut outputs = Vec::new();
-    for threads in ["1", "4"] {
-        let path = dir.join(format!("logits_t{threads}.bin"));
-        let status = std::process::Command::new(&exe)
+    for (k, (threads, budget)) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("logits_{k}.bin"));
+        let mut child = std::process::Command::new(&exe);
+        child
             .args([
                 "forward_logits_identical_across_lip_threads_env",
                 "--exact",
                 "--nocapture",
             ])
-            .env("LIP_REPRO_LOGITS_OUT", &path)
-            .env("LIP_THREADS", threads)
-            .status()
-            .expect("spawn child test process");
-        assert!(status.success(), "child with LIP_THREADS={threads} failed");
-        outputs.push(std::fs::read(&path).unwrap());
+            .env("LIP_REPRO_LOGITS_OUT", &path);
+        match threads {
+            Some(v) => child.env("LIP_THREADS", v),
+            None => child.env_remove("LIP_THREADS"),
+        };
+        let status = child.status().expect("spawn child test process");
+        assert!(status.success(), "child with LIP_THREADS={threads:?} failed");
+        let threads_path = format!("{}.threads", path.display());
+        let resolved = std::fs::read_to_string(&threads_path).unwrap();
+        assert_eq!(resolved, budget.to_string(), "budget under LIP_THREADS={threads:?}");
+        outputs.push((threads, std::fs::read(&path).unwrap()));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&threads_path).ok();
     }
-    assert!(!outputs[0].is_empty());
-    assert_eq!(
-        outputs[0], outputs[1],
-        "LIP_THREADS=1 and LIP_THREADS=4 must emit byte-identical logits"
-    );
+    assert!(!outputs[0].1.is_empty());
+    for (threads, logits) in &outputs[1..] {
+        assert_eq!(
+            &outputs[0].1, logits,
+            "LIP_THREADS=1 and LIP_THREADS={threads:?} must emit byte-identical logits"
+        );
+    }
 }
 
 /// Checkpoint files must be byte-identical across *separate processes* for
