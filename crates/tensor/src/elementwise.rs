@@ -175,12 +175,20 @@ impl Tensor {
     /// partial outputs which are then combined in [`lip_par::combine_tree`]'s
     /// fixed order, so the result depends only on the shapes — never on the
     /// thread count or the input's storage layout.
+    ///
+    /// Each chunk walks its range one innermost run at a time, in row-major
+    /// source order, so every accumulator element takes the same adds in the
+    /// same order as an element-by-element walk. When both innermost strides
+    /// are 1 (a dense source summed over leading axes, the weight-gradient
+    /// case) a run is one slice add.
     pub fn reduce_to_shape(&self, target: &[usize]) -> Tensor {
         if self.shape == target {
             return self.clone();
         }
         // target indexes the dense accumulator; self walks its own strides
         let sa = broadcast_strides(target, &self.shape);
+        let inner_t = sa.last().copied().unwrap_or(0);
+        let inner_s = self.strides.last().copied().unwrap_or(0);
         let t_numel = numel(target);
         let raw: &[f32] = &self.data;
         let base = self.offset;
@@ -188,11 +196,22 @@ impl Tensor {
         let partials = lip_par::map_chunks(
             lip_par::Partition::new(n, ELEMWISE_CHUNK),
             |_, r| {
-                let odo =
+                let mut odo =
                     Odometer2::starting_at(&self.shape, sa.clone(), self.strides.clone(), r.start);
                 let mut acc = vec![0.0f32; t_numel];
-                for (t, s) in odo.take(r.end - r.start) {
-                    acc[t] += raw[base + s];
+                let mut left = r.len();
+                while let Some((t, s, len)) = odo.next_run(left) {
+                    left -= len;
+                    let s = base + s;
+                    if inner_t == 1 && inner_s == 1 {
+                        for (x, &v) in acc[t..t + len].iter_mut().zip(&raw[s..s + len]) {
+                            *x += v;
+                        }
+                    } else {
+                        for j in 0..len {
+                            acc[t + j * inner_t] += raw[s + j * inner_s];
+                        }
+                    }
                 }
                 acc
             },

@@ -14,13 +14,21 @@
 //! Every kernel short-circuits on a zero-numel output, so empty views never
 //! reach the chunk-size arithmetic or the density `debug_assert!`s.
 //!
-//! The matmul core ([`matmul_packed_into`]) is register-tiled: output
-//! columns are processed [`MATMUL_TILE_N`] at a time with a fixed-width
-//! accumulator array, the lhs is read through arbitrary strides, and the
-//! rhs needs only unit-stride rows ([`matmul_rows_dense`]) — so packing is
-//! the exception, not the rule. The per-element accumulation order (and
-//! with it the `lip-par` bit-identity contract) is documented on the
-//! function itself.
+//! The matmul core ([`matmul_packed_into`]) is register-tiled: up to
+//! [`MATMUL_TILE_M`] rows of one batch matrix run against an
+//! [`MATMUL_TILE_N`]-column rhs panel at a time, in a fixed-size 4 × 8
+//! accumulator array fed by one rhs row load per k step. The lhs is read
+//! through arbitrary strides, and the rhs needs only unit-stride rows
+//! ([`matmul_rows_dense`]) — so packing is the exception, not the rule.
+//! The per-element accumulation order (and with it the `lip-par`
+//! bit-identity contract) is documented on the function itself.
+//!
+//! The strided walks here step [`Odometer2`] once per element.
+//! `Tensor::reduce_to_shape`, the broadcast adjoint behind every weight
+//! gradient, steps it one innermost run at a time instead
+//! ([`Odometer2::next_run`]): with unit innermost strides on both sides a
+//! run is one slice add, and the add order per accumulator element is
+//! still the row-major source order.
 
 use lip_par::{par_chunks_mut, ELEMWISE_CHUNK, MATMUL_CHUNK_MACS};
 
@@ -210,6 +218,12 @@ pub fn zip_into(
 /// reassociation).
 pub const MATMUL_TILE_N: usize = 8;
 
+/// Row-tile height of the matmul micro-kernel: up to this many rows of one
+/// batch matrix run against each [`MATMUL_TILE_N`]-column rhs panel
+/// together, so each rhs row load feeds `MATMUL_TILE_M × MATMUL_TILE_N`
+/// register accumulators.
+pub const MATMUL_TILE_M: usize = 4;
+
 /// Can `v`'s innermost rows be streamed densely by the matmul micro-kernel?
 /// True when the last axis is unit-stride (or trivially short): outer axes
 /// may be arbitrarily strided or broadcast, only row interiors must be
@@ -235,14 +249,21 @@ pub fn matmul_rows_dense(v: &ViewRef<'_>) -> bool {
 /// function of `(k, n)` — the `lip-par` bit-identity contract), and inside
 /// a chunk the column-tile loop is outermost so one `k ×`
 /// [`MATMUL_TILE_N`] rhs panel stays cache-hot across every row of the
-/// chunk while the accumulators live in registers.
+/// chunk while the accumulators live in registers. Rows go
+/// [`MATMUL_TILE_M`] at a time when that many are left in both the chunk
+/// and the current batch matrix; the rows left over, and the column tail
+/// narrower than [`MATMUL_TILE_N`], go one row at a time.
 ///
 /// Bit-identity: every output element is still produced by the exact
-/// per-element accumulation of the original i-k-j kernel — `p` strictly
-/// increasing, zero-lhs terms skipped, one f32 add per surviving term —
-/// so results are byte-identical to the pre-tiling kernel at any thread
-/// count. `epilogue` is applied once per element at store time (identity
-/// for a plain matmul; a fused elementwise chain for the executor).
+/// per-element accumulation of the original i-k-j kernel — from `+0.0`,
+/// `p` strictly increasing, zero-lhs terms skipped, one f32 add per
+/// surviving term — so results are byte-identical to the pre-tiling kernel
+/// at any thread count. The zero skip cannot flip a sign bit (an
+/// accumulator that starts at `+0.0` never becomes `-0.0` under
+/// round-to-nearest adds); it is observable only when the rhs holds
+/// `±inf` or `NaN`, since `0 · inf` is `NaN`, so a row tile keeps it per
+/// row. `epilogue` is applied once per element at store time (identity for
+/// a plain matmul; a fused elementwise chain for the executor).
 pub fn matmul_packed_into(
     a: ViewRef<'_>,
     b: ViewRef<'_>,
@@ -294,12 +315,42 @@ pub fn matmul_packed_into(
         let mut j0 = 0usize;
         while j0 < n {
             let w = (n - j0).min(MATMUL_TILE_N);
-            for ri in 0..rows {
+            let mut ri = 0usize;
+            while ri < rows {
                 let row = row0 + ri;
                 let (bi, i) = (row / m, row % m);
                 let (oa, ob) = offsets[bi];
                 let a_row = a_base + oa + i * a_rs;
                 let b_mat = b_base + ob;
+                if w == MATMUL_TILE_N && ri + MATMUL_TILE_M <= rows && i + MATMUL_TILE_M <= m {
+                    // full tile: MATMUL_TILE_M rows of one batch matrix share
+                    // each rhs row load; every row keeps its own zero-skip
+                    let mut acc = [[0.0f32; MATMUL_TILE_N]; MATMUL_TILE_M];
+                    for p in 0..k {
+                        let b_row = b_mat + p * b_rs + j0;
+                        let brow = &b_data[b_row..b_row + MATMUL_TILE_N];
+                        let a_col = a_row + p * a_cs;
+                        for (r, acc_r) in acc.iter_mut().enumerate() {
+                            let av = a_data[a_col + r * a_rs];
+                            if av == 0.0 {
+                                continue;
+                            }
+                            for (au, &bv) in acc_r.iter_mut().zip(brow) {
+                                *au += av * bv;
+                            }
+                        }
+                    }
+                    for (r, acc_r) in acc.iter().enumerate() {
+                        let o0 = (ri + r) * n + j0;
+                        for (ou, &au) in dst[o0..o0 + MATMUL_TILE_N].iter_mut().zip(acc_r) {
+                            *ou = epilogue(au);
+                        }
+                    }
+                    ri += MATMUL_TILE_M;
+                    continue;
+                }
+                // one row: the rows left over at the end of a batch matrix
+                // or a chunk, and the column tail
                 let o = &mut dst[ri * n + j0..ri * n + j0 + w];
                 if w == MATMUL_TILE_N {
                     // full-width tile: fixed-size accumulator array, no
@@ -337,6 +388,7 @@ pub fn matmul_packed_into(
                         *ou = epilogue(au);
                     }
                 }
+                ri += 1;
             }
             j0 += w;
         }

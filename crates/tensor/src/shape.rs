@@ -1,5 +1,6 @@
 //! Shape arithmetic: strides, broadcasting, and an odometer iterator used by
-//! the strided kernels in the rest of the crate.
+//! the strided kernels in the rest of the crate, which steps one element or
+//! one innermost run at a time.
 
 use crate::TensorError;
 
@@ -258,6 +259,56 @@ impl Odometer2 {
             remaining: total.saturating_sub(start),
         }
     }
+
+    /// Step a whole innermost run at once: the flat offsets of the current
+    /// element and the run length `len` (the elements left on the innermost
+    /// axis, capped at `max` and at what remains), then advance to where
+    /// `len` calls to `next` would leave the odometer. Element `j < len` of
+    /// the run sits at `(a + j·sa, b + j·sb)`, with `sa` and `sb` the
+    /// innermost strides. A rank-0 walk is one run of length 1. `None` once
+    /// the walk is done or when `max` is 0.
+    pub fn next_run(&mut self, max: usize) -> Option<(usize, usize, usize)> {
+        if self.remaining == 0 || max == 0 {
+            return None;
+        }
+        let (a, b) = (self.off_a, self.off_b);
+        let Some(last) = self.shape.len().checked_sub(1) else {
+            self.remaining = 0;
+            return Some((a, b, 1));
+        };
+        let i0 = self.idx[last];
+        let len = (self.shape[last] - i0).min(max).min(self.remaining);
+        self.remaining -= len;
+        if i0 + len < self.shape[last] {
+            self.idx[last] += len;
+            self.off_a += len * self.strides_a[last];
+            self.off_b += len * self.strides_b[last];
+        } else {
+            // row finished: rewind it and carry into the axes above
+            self.off_a -= i0 * self.strides_a[last];
+            self.off_b -= i0 * self.strides_b[last];
+            self.idx[last] = 0;
+            self.step(last);
+        }
+        Some((a, b, len))
+    }
+
+    /// Advance the index over axes `..axes` by one (row-major, last of them
+    /// fastest), wrapping each finished axis to 0.
+    #[inline]
+    fn step(&mut self, axes: usize) {
+        for ax in (0..axes).rev() {
+            self.idx[ax] += 1;
+            self.off_a += self.strides_a[ax];
+            self.off_b += self.strides_b[ax];
+            if self.idx[ax] < self.shape[ax] {
+                break;
+            }
+            self.off_a -= self.strides_a[ax] * self.shape[ax];
+            self.off_b -= self.strides_b[ax] * self.shape[ax];
+            self.idx[ax] = 0;
+        }
+    }
 }
 
 impl Iterator for Odometer2 {
@@ -270,18 +321,7 @@ impl Iterator for Odometer2 {
         }
         let item = (self.off_a, self.off_b);
         self.remaining -= 1;
-        // advance the odometer (row-major, last axis fastest)
-        for ax in (0..self.shape.len()).rev() {
-            self.idx[ax] += 1;
-            self.off_a += self.strides_a[ax];
-            self.off_b += self.strides_b[ax];
-            if self.idx[ax] < self.shape[ax] {
-                break;
-            }
-            self.off_a -= self.strides_a[ax] * self.shape[ax];
-            self.off_b -= self.strides_b[ax] * self.shape[ax];
-            self.idx[ax] = 0;
-        }
+        self.step(self.shape.len());
         Some(item)
     }
 
@@ -387,6 +427,34 @@ mod tests {
                 Odometer2::starting_at(&out, sa.clone(), sb.clone(), start).collect();
             assert_eq!(tail, full[start.min(full.len())..], "start={start}");
         }
+    }
+
+    #[test]
+    fn odometer_runs_expand_to_the_element_walk() {
+        let out = [2usize, 3, 4];
+        let sa = broadcast_strides(&[3, 1], &out);
+        let sb = vec![1usize, 8, 2]; // permuted, non-unit innermost stride
+        let full: Vec<_> = Odometer2::new(&out, sa.clone(), sb.clone()).collect();
+        for start in [0usize, 1, 5, 11, 23, 24] {
+            for max in [1usize, 3, 7, 100] {
+                let mut odo = Odometer2::starting_at(&out, sa.clone(), sb.clone(), start);
+                let mut walked = Vec::new();
+                while let Some((a, b, len)) = odo.next_run(max) {
+                    assert!((1..=max.min(4)).contains(&len), "run length {len}");
+                    walked.extend((0..len).map(|j| (a + j * sa[2], b + j * sb[2])));
+                }
+                assert_eq!(
+                    walked,
+                    full[start.min(full.len())..],
+                    "start={start} max={max}"
+                );
+            }
+        }
+        // rank 0: one run of one element; a zero cap yields nothing
+        let mut scalar = Odometer2::new(&[], vec![], vec![]);
+        assert_eq!(scalar.next_run(0), None);
+        assert_eq!(scalar.next_run(5), Some((0, 0, 1)));
+        assert_eq!(scalar.next_run(5), None);
     }
 
     #[test]

@@ -4,21 +4,30 @@
 //! skipped), byte-for-byte, across
 //!
 //! * column counts straddling the 8-lane tile width (tail handling),
+//! * row counts straddling the 4-row tile height, at the end of a batch
+//!   matrix and at a `lip-par` chunk boundary that splits a would-be tile,
 //! * row counts straddling the `lip-par` chunk boundary (chunk ± 1),
 //! * adversarial extents (0 and 1 in every position),
 //! * strided operands — transposed lhs read in place, transposed rhs
 //!   packed, broadcast batch axes — against their packed equivalents,
 //! * thread budgets {1, 2, 3, 8}.
+//!
+//! The zero-lhs skip is observable only when the rhs holds `±inf` or `NaN`
+//! (`0 · inf` is `NaN`); [`zero_lhs_column_hides_non_finite_rhs_row`] pins
+//! it inside every tile shape. It cannot flip a sign bit: the accumulator
+//! starts at `+0.0`, and a round-to-nearest add yields `-0.0` only from two
+//! `-0.0` operands, so the accumulator is never `-0.0`.
 
 use lip_rng::prop_check;
+use lip_tensor::kernel::MATMUL_TILE_M;
 use lip_tensor::Tensor;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Naive triple loop over packed operands with the kernel's per-element
-/// contract: accumulate in `p`-increasing order, skipping `a == 0.0` terms
-/// (the skip is part of the documented bit-identity contract — `-0.0 + 0.0`
-/// would flip sign bits otherwise).
+/// contract: accumulate in `p`-increasing order from `+0.0`, skipping
+/// `a == 0.0` terms (so a `±inf` or `NaN` rhs entry facing a zero lhs entry
+/// contributes nothing, where `0 · inf` would give `NaN`).
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f32> {
     let (a, b) = (a.contiguous(), b.contiguous());
     let ar = a.rank();
@@ -127,6 +136,79 @@ fn chunk_boundary_rows() {
         let a = filled(&[m, 256], 0.03125, 0.0625);
         let b = filled(&[256, 64], 0.0625, -0.03125);
         assert_tiled_matches(&format!("chunk rows m={m}"), &a, &b);
+    }
+}
+
+#[test]
+fn row_tile_boundaries_in_batches() {
+    // m = 1 ..= 9 rows per batch matrix: row tiles end at a batch boundary
+    // and leave 0–3 remainder rows; n = 8 is one full column tile, n = 17
+    // two plus a one-column tail. Shared and per-batch rhs alike.
+    let k = 5;
+    for m in 1usize..=9 {
+        for n in [8usize, 17] {
+            let a = filled(&[3, m, k], 0.25, 0.0);
+            let shared = filled(&[k, n], 0.5, 0.125);
+            let batched = filled(&[3, k, n], 0.5, -0.125);
+            assert_tiled_matches(&format!("[3,{m},{k}]x[{k},{n}]"), &a, &shared);
+            assert_tiled_matches(&format!("[3,{m},{k}]x[3,{k},{n}]"), &a, &batched);
+        }
+    }
+}
+
+#[test]
+fn chunk_boundary_splits_a_row_tile() {
+    // k is chosen so a chunk holds 6 output rows: rows 4..8 would make one
+    // row tile, but the chunk boundary at row 6 splits them, so each chunk
+    // ends in single rows (and, batched, a batch boundary falls mid-chunk)
+    let n = 16;
+    let k = lip_par::MATMUL_CHUNK_MACS / (n * 6);
+    let chunk_rows = lip_par::MATMUL_CHUNK_MACS / (k * n);
+    assert_eq!(chunk_rows, 6);
+    assert_ne!(
+        chunk_rows % MATMUL_TILE_M,
+        0,
+        "the chunk must split a row tile"
+    );
+    let b = filled(&[k, n], 0.0625, -0.03125);
+    for shape in [
+        vec![chunk_rows + 1, k],
+        vec![2 * chunk_rows + 1, k],
+        vec![2, 7, k],
+    ] {
+        let a = filled(&shape, 0.03125, 0.0625);
+        assert_tiled_matches(&format!("tile split by chunk {shape:?}"), &a, &b);
+    }
+}
+
+#[test]
+fn zero_lhs_column_hides_non_finite_rhs_row() {
+    // every lhs entry of columns 1 and 4 is 0.0, and rhs rows 1 and 4 hold
+    // +inf, -inf and NaN: the zero skip must drop those terms in the row
+    // tile, in the single-row loop and in the column tail (`0 · inf` is NaN)
+    let k = 6;
+    let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (lhs_shape, n) in [(vec![8, k], 17), (vec![3, 5, k], 8), (vec![9, k], 3)] {
+        let mut av = filled(&lhs_shape, 0.25, 0.0).to_vec();
+        for (i, v) in av.iter_mut().enumerate() {
+            if i % k == 1 || i % k == 4 {
+                *v = 0.0;
+            }
+        }
+        let a = Tensor::from_vec(av, &lhs_shape);
+        let mut bv = filled(&[k, n], 0.5, 0.125).to_vec();
+        for p in [1usize, 4] {
+            for j in 0..n {
+                bv[p * n + j] = specials[(p + j) % specials.len()];
+            }
+        }
+        let b = Tensor::from_vec(bv, &[k, n]);
+        let label = format!("{lhs_shape:?}x[{k},{n}] non-finite rhs rows");
+        assert!(
+            !a.matmul(&b).has_non_finite(),
+            "{label}: a zero lhs term reached the sum"
+        );
+        assert_tiled_matches(&label, &a, &b);
     }
 }
 

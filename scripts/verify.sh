@@ -24,6 +24,10 @@ cargo test -q --offline
 echo "==> cargo test -q --offline under LIP_THREADS=1 (serial budget)"
 LIP_THREADS=1 cargo test -q --offline
 
+echo "==> cargo test --release -q --offline -p lip-tensor (the vectorized matmul"
+echo "    tiles exist only in optimized builds; the passes above are debug builds)"
+cargo test --release -q --offline -p lip-tensor
+
 echo "==> lip-analyze --lint --check-model (static graph gate)"
 cargo run -q --release --offline -p lip-analyze -- --lint --check-model
 
