@@ -4,20 +4,21 @@
 //!
 //! * **Symbolic shape inference** ([`sym`], [`rules`], [`plan`]): shape
 //!   transfer functions for every tape op over dimensions affine in a
-//!   symbolic batch size `B`, and a planner that replays the entire
-//!   LiPFormer forward + loss and contrastive graphs from a configuration
-//!   alone — node-for-node identical to what the runtime records — yielding
-//!   the shape and MAC plan (a polynomial in `B`) without touching tensor
-//!   data. Inconsistent configurations are rejected here, before any kernel.
+//!   symbolic batch size `B`, and a planner that lifts the entire
+//!   LiPFormer forward + loss and contrastive graphs from two recordings of
+//!   the model itself, checked for every `B` by the same rules, yielding
+//!   the shape and MAC plan (a polynomial in `B`). Inconsistent
+//!   configurations are rejected by [`validate_config`] before any model is
+//!   built.
 //! * **Tape validation and lints** ([`infer`], [`lint`]): re-derive every
 //!   recorded node's shape and the MAC total from the rules and diff them
 //!   against the tape, then hunt structural smells — dead parameters,
 //!   detached subgraphs, silent rank-promoting broadcasts, reused dropout
 //!   masks.
-//! * **The harness** ([`harness`]): one call that plans, records (with the
-//!   NaN/Inf sanitizer armed), validates, diffs plan against runtime, and
-//!   lints — the engine behind the `lip-analyze` binary and the
-//!   `scripts/verify.sh` gate.
+//! * **The harness** ([`harness`]): one call that validates the
+//!   configuration, lifts both plans, records (with the NaN/Inf sanitizer
+//!   armed), validates and lints — the engine behind the `lip-analyze`
+//!   binary and the `scripts/verify.sh` gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

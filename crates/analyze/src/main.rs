@@ -1,7 +1,7 @@
 //! `lip-analyze` — static analysis CLI for LiPFormer graphs.
 //!
 //! ```text
-//! lip-analyze --plan                      # symbolic shape/MAC plan (batch B)
+//! lip-analyze --plan                      # lifted shape/MAC plan (batch B)
 //! lip-analyze --lint                      # tape lints over recorded graphs
 //! lip-analyze --check-model               # full check, nine-benchmark sweep
 //! lip-analyze --check-model conf.json     # full check of one configuration
@@ -9,14 +9,14 @@
 //! ```
 //!
 //! Exit code 0 means zero findings; 1 means at least one finding; 2 means a
-//! usage or input error. `scripts/verify.sh` runs `--lint --check-model` as
-//! a regression gate.
+//! usage or input error. `scripts/verify.sh` runs
+//! `--plan --lint --check-model` as a regression gate.
 
 use std::process::ExitCode;
 
 use lip_analyze::harness::{check_model, check_models, synthetic_batch};
 use lip_analyze::lint::lint_graphs;
-use lip_analyze::plan::plan_forward_loss;
+use lip_analyze::plan::{plan_forward_loss, validate_config, ForwardPlan, PlanError};
 use lip_analyze::schedule::InferenceSchedule;
 use lip_analyze::sym::shape_to_string;
 use lip_analyze::verify::{
@@ -34,11 +34,12 @@ usage:
               [--batch N]
 
 modes (combine freely; at least one is required):
-  --plan                 print the symbolic shape/MAC plan, batch size B
+  --plan                 print the shape/MAC plan lifted from the model,
+                         batch size B
   --lint                 run tape lints over recorded training graphs
-  --check-model [FILE]   full static check: config validation, per-node
-                         shape inference, plan/runtime parity, lints, and
-                         the NaN/Inf sanitizer. FILE is a LiPFormerConfig
+  --check-model [FILE]   full static check: config validation, the plan
+                         lift, per-node shape inference, lints, and the
+                         NaN/Inf sanitizer. FILE is a LiPFormerConfig
                          JSON; without it the nine synthetic benchmarks
                          are swept with their standard (48, 24) setup.
   --verify-plan          static schedule verification: prove def-before-use,
@@ -157,8 +158,19 @@ fn targets(opts: &Options) -> Vec<Target> {
         .collect()
 }
 
+/// Check `config` + `spec`, build the model they describe and lift its
+/// forward + loss plan.
+fn lift_plan(
+    config: &LiPFormerConfig,
+    spec: &CovariateSpec,
+    training: bool,
+) -> Result<ForwardPlan, PlanError> {
+    validate_config(config, spec)?;
+    plan_forward_loss(&LiPFormer::new(config.clone(), spec, 7), spec, training)
+}
+
 fn print_plan(t: &Target, full: bool) -> usize {
-    match plan_forward_loss(&t.config, &t.spec, true) {
+    match lift_plan(&t.config, &t.spec, true) {
         Ok(plan) => {
             println!(
                 "{}: {} nodes, MAC plan = {}",
@@ -200,9 +212,9 @@ fn lint_only(t: &Target) -> usize {
 type ConfigVariant = fn(LiPFormerConfig) -> LiPFormerConfig;
 
 /// `--verify-plan`: the full static verification sweep. Every finding is
-/// printed; the count feeds the exit code. Entirely static — no tensor
-/// data, no model weights; datasets are generated only for their channel
-/// counts.
+/// printed; the count feeds the exit code. The only tensor work is the two
+/// small recordings each plan is lifted from; datasets are generated only
+/// for their channel counts.
 fn verify_plan_sweep() -> usize {
     let mut findings = 0usize;
 
@@ -229,7 +241,7 @@ fn verify_plan_sweep() -> usize {
             let config = variant(base.clone());
             for (plabel, spec) in &policies {
                 let label = format!("{name:?}/{vlabel}/{plabel}");
-                let plan = match plan_forward_loss(&config, spec, false) {
+                let plan = match lift_plan(&config, spec, false) {
                     Ok(p) => p,
                     Err(e) => {
                         println!("{label}: plan rejected: {e}");
@@ -264,10 +276,11 @@ fn verify_plan_sweep() -> usize {
     );
 
     // -- stage compositions: every registered stage triple, both policies --
-    // Each composition gets the full treatment: recorded-tape parity
-    // (check_model) plus fused/unfused schedule verification, so a stage
-    // pair that plans but cannot compile — or whose plan diverges from the
-    // runtime tape — is a finding, not a surprise at serving time.
+    // Each composition gets the full treatment: the model check (plan lift,
+    // recorded-tape validation, lints) plus fused/unfused schedule
+    // verification, so a stage pair that records but does not lift, or
+    // lifts but cannot compile, is a finding, not a surprise at serving
+    // time.
     let mut comp_verified = 0usize;
     let compositions = lipformer::registered_compositions();
     for (clabel, stages) in &compositions {
@@ -280,7 +293,7 @@ fn verify_plan_sweep() -> usize {
                 println!("{label}: {f}");
             }
             findings += report.findings.len();
-            let plan = match plan_forward_loss(&config, spec, false) {
+            let plan = match lift_plan(&config, spec, false) {
                 Ok(p) => p,
                 Err(e) => {
                     println!("{label}: plan rejected: {e}");
@@ -310,7 +323,7 @@ fn verify_plan_sweep() -> usize {
     }
     println!(
         "stage compositions: {comp_verified} schedule(s) verified across {} \
-         registered compositions (plan/runtime parity + fused/unfused)",
+         registered compositions (plan lift + fused/unfused)",
         compositions.len()
     );
 
@@ -370,7 +383,7 @@ fn main() -> ExitCode {
     let mut findings = 0usize;
 
     if opts.plan {
-        println!("== symbolic plan (forward + loss, training mode) ==");
+        println!("== lifted plan (forward + loss, training mode) ==");
         let full = targets.len() == 1;
         for t in &targets {
             findings += print_plan(t, full);

@@ -1,16 +1,32 @@
-//! The symbolic forward plan: build LiPFormer's *entire* tape — forward +
-//! Smooth-L1 loss, and the contrastive pre-training graph — from a
-//! [`LiPFormerConfig`] and [`CovariateSpec`] alone, with a symbolic batch
-//! size and zero tensor data. The plan replays the exact op sequence the
-//! model records at runtime (the parity tests compare node-by-node), so a
-//! configuration error surfaces here, before any tensor kernel runs, with
-//! the failing stage named.
+//! The forward plan, lifted from the model's own tape.
+//!
+//! [`plan_forward_loss`] and [`plan_contrastive`] record the model on
+//! synthetic batches of two consecutive sizes and lift the pair into one
+//! plan whose every axis is affine in a symbolic batch size `B`:
+//!
+//! * the two recordings must agree on every node's op, wiring and
+//!   attributes, so nothing but sizes depends on the batch;
+//! * each dim is fitted as `per_batch·B + fixed` with non-negative
+//!   coefficients, leaves are labelled by the batch tensor they alias, and
+//!   every attribute the executor applies is read off the recorded op;
+//! * the shared rule table ([`crate::infer`]) re-derives each lifted
+//!   node's shape from its lifted inputs — checking the fit for every `B`
+//!   without a third recording — and sums the MAC plan as a polynomial in
+//!   `B`.
+//!
+//! The model is written once, in `lipformer`; the plan is whatever it
+//! records. Configurations are checked first by [`validate_config`], so a
+//! bad one is a typed error with the failing field named, not a panic in
+//! the model constructor.
 
-use lipformer::cross_patch::compatible_heads;
-use lipformer::{ExtractKind, LiPFormerConfig, ProjKind, ReprKind};
+use lip_autograd::{Graph, Op, ParamId, ParamStore, Var};
+use lip_data::window::Batch;
 use lip_data::CovariateSpec;
+use lipformer::analysis::forward_loss;
+use lipformer::{Forecaster, LiPFormer, LiPFormerConfig, WeaklySupervised};
 
-use crate::rules;
+use crate::harness::synthetic_batch;
+use crate::infer::{infer_node, recorded_sizes};
 use crate::sym::{shape_to_string, SymDim, SymPoly, SymShape};
 
 /// Handle to a node of a [`SymTape`].
@@ -33,9 +49,8 @@ pub struct SymNode {
 }
 
 /// The compile-time attribute of a planned node: everything an executor
-/// needs beyond inputs and shapes. The runtime `Op` enum stores the same
-/// data (where it stores it at all — `AddScalar` does not retain its
-/// scalar), so the plan is the authoritative carrier.
+/// needs beyond inputs and shapes, read off the recorded `Op` (scalars
+/// bit for bit), plus the batch tensor a leaf aliases.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeAttr {
     /// Nothing beyond inputs and the output shape.
@@ -60,11 +75,11 @@ pub enum NodeAttr {
     Label(&'static str),
 }
 
-/// A configuration error or shape inconsistency found while planning,
-/// annotated with the model stage being built.
+/// A configuration error, or a model whose recordings do not lift to one
+/// plan, annotated with where it was found.
 #[derive(Debug, Clone)]
 pub struct PlanError {
-    /// Model stage (e.g. "cross_patch", "head", "covariate_encoder").
+    /// `"config"` for [`validate_config`], `"lift"` for the trace lift.
     pub stage: String,
     /// What went wrong.
     pub message: String,
@@ -87,30 +102,16 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The symbolic tape: mirrors `lip_autograd::Graph`'s recording API over
-/// [`SymShape`]s, accumulating the MAC plan as a polynomial in `B`.
+/// A lifted tape: the planned nodes in tape order, the MAC plan as a
+/// polynomial in the batch size, and the parameter each `Param` node reads.
 #[derive(Debug, Default)]
 pub struct SymTape {
     nodes: Vec<SymNode>,
     macs: SymPoly,
-    stage: String,
+    params: Vec<Option<ParamId>>,
 }
 
 impl SymTape {
-    /// Empty tape.
-    pub fn new() -> Self {
-        SymTape {
-            nodes: Vec::with_capacity(128),
-            macs: SymPoly::zero(),
-            stage: "input".into(),
-        }
-    }
-
-    /// Name the model stage under construction — failures report it.
-    pub fn stage(&mut self, name: &str) {
-        self.stage = name.into();
-    }
-
     /// Planned nodes, in tape order.
     pub fn nodes(&self) -> &[SymNode] {
         &self.nodes
@@ -136,230 +137,17 @@ impl SymTape {
         &self.nodes[v.0].shape
     }
 
-    fn push(
-        &mut self,
-        op: &'static str,
-        shape: SymShape,
-        inputs: Vec<PlanVar>,
-        attr: NodeAttr,
-    ) -> PlanVar {
-        self.macs.add_assign(&rules::mac_cost(op, &shape, None));
-        self.nodes.push(SymNode { op, shape, inputs, attr });
-        PlanVar(self.nodes.len() - 1)
-    }
-
-    fn err(&self, message: impl Into<String>) -> PlanError {
-        PlanError::new(&self.stage, message)
-    }
-
-    // ------------------------------------------------------------- leaves
-
-    /// Constant leaf of known symbolic shape.
-    pub fn leaf(&mut self, shape: SymShape) -> PlanVar {
-        self.push("Leaf", shape, vec![], NodeAttr::Label("leaf"))
-    }
-
-    /// Constant leaf annotated with the runtime batch tensor that feeds it.
-    pub fn leaf_labeled(&mut self, label: &'static str, shape: SymShape) -> PlanVar {
-        self.push("Leaf", shape, vec![], NodeAttr::Label(label))
-    }
-
-    /// Trainable-parameter leaf (parameters never depend on the batch).
-    pub fn param(&mut self, shape: &[usize]) -> PlanVar {
-        self.push("Param", crate::sym::fixed_shape(shape), vec![], NodeAttr::None)
-    }
-
-    // -------------------------------------------------------- arithmetic
-
-    fn binary(&mut self, op: &'static str, a: PlanVar, b: PlanVar) -> Result<PlanVar, PlanError> {
-        let shape = rules::broadcast_join(self.shape(a), self.shape(b))
-            .map_err(|e| self.err(e))?;
-        Ok(self.push(op, shape, vec![a, b], NodeAttr::None))
-    }
-
-    /// Elementwise `a + b` with broadcasting.
-    pub fn add(&mut self, a: PlanVar, b: PlanVar) -> Result<PlanVar, PlanError> {
-        self.binary("Add", a, b)
-    }
-
-    /// Elementwise `a - b` with broadcasting.
-    pub fn sub(&mut self, a: PlanVar, b: PlanVar) -> Result<PlanVar, PlanError> {
-        self.binary("Sub", a, b)
-    }
-
-    /// Elementwise `a * b` with broadcasting.
-    pub fn mul(&mut self, a: PlanVar, b: PlanVar) -> Result<PlanVar, PlanError> {
-        self.binary("Mul", a, b)
-    }
-
-    /// Elementwise `a / b` with broadcasting.
-    pub fn div(&mut self, a: PlanVar, b: PlanVar) -> Result<PlanVar, PlanError> {
-        self.binary("Div", a, b)
-    }
-
-    /// `a + s`, recording the scalar the runtime applies.
-    pub fn add_scalar(&mut self, a: PlanVar, scalar: f32) -> PlanVar {
-        let s = self.shape(a).clone();
-        self.push("AddScalar", s, vec![a], NodeAttr::Scalar(scalar))
-    }
-
-    /// `a * s`, recording the scalar the runtime applies.
-    pub fn mul_scalar(&mut self, a: PlanVar, scalar: f32) -> PlanVar {
-        let s = self.shape(a).clone();
-        self.push("MulScalar", s, vec![a], NodeAttr::Scalar(scalar))
-    }
-
-    /// Batched matrix product.
-    pub fn matmul(&mut self, a: PlanVar, b: PlanVar) -> Result<PlanVar, PlanError> {
-        let (shape, k) = rules::matmul_rule(self.shape(a), self.shape(b))
-            .map_err(|e| self.err(e))?;
-        self.macs
-            .add_assign(&rules::mac_cost("MatMul", &shape, Some(k)));
-        self.nodes.push(SymNode {
-            op: "MatMul",
-            shape,
-            inputs: vec![a, b],
-            attr: NodeAttr::None,
-        });
-        Ok(PlanVar(self.nodes.len() - 1))
-    }
-
-    // ------------------------------------------------------ shape surgery
-
-    /// Axis reorder.
-    pub fn permute(&mut self, a: PlanVar, axes: &[usize]) -> Result<PlanVar, PlanError> {
-        let shape = rules::permute_rule(self.shape(a), axes).map_err(|e| self.err(e))?;
-        Ok(self.push("Permute", shape, vec![a], NodeAttr::Axes(axes.to_vec())))
-    }
-
-    /// Swap two axes (records a Permute, as the runtime does).
-    pub fn transpose(&mut self, a: PlanVar, d0: usize, d1: usize) -> Result<PlanVar, PlanError> {
-        let mut axes: Vec<usize> = (0..self.shape(a).len()).collect();
-        if d0 >= axes.len() || d1 >= axes.len() {
-            return Err(self.err(format!("transpose axes ({d0}, {d1}) out of rank")));
-        }
-        axes.swap(d0, d1);
-        self.permute(a, &axes)
-    }
-
-    /// Reinterpret under a symbolic target shape (the node's own shape *is*
-    /// the reshape target, so no separate attribute is needed).
-    pub fn reshape(&mut self, a: PlanVar, target: SymShape) -> Result<PlanVar, PlanError> {
-        let shape = rules::reshape_rule(self.shape(a), &target).map_err(|e| self.err(e))?;
-        Ok(self.push("Reshape", shape, vec![a], NodeAttr::None))
-    }
-
-    /// Contiguous sub-range along an axis.
-    pub fn slice_axis(
-        &mut self,
-        a: PlanVar,
-        axis: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<PlanVar, PlanError> {
-        let shape = rules::slice_rule(self.shape(a), axis, start, end)
-            .map_err(|e| self.err(e))?;
-        Ok(self.push("SliceAxis", shape, vec![a], NodeAttr::Slice { axis, start, end }))
-    }
-
-    /// Concatenate along an axis.
-    pub fn concat(&mut self, parts: &[PlanVar], axis: usize) -> Result<PlanVar, PlanError> {
-        let shapes: Vec<SymShape> = parts.iter().map(|p| self.shape(*p).clone()).collect();
-        let shape = rules::concat_rule(&shapes, axis).map_err(|e| self.err(e))?;
-        Ok(self.push("Concat", shape, parts.to_vec(), NodeAttr::Axis(axis)))
-    }
-
-    /// Row gather with a symbolic lookup count.
-    pub fn gather_rows(&mut self, table: PlanVar, count: SymDim) -> Result<PlanVar, PlanError> {
-        let shape = rules::gather_rows_rule(self.shape(table), count)
-            .map_err(|e| self.err(e))?;
-        Ok(self.push("GatherRows", shape, vec![table], NodeAttr::None))
-    }
-
-    // ------------------------------------------------------- nonlinearity
-
-    fn unary(&mut self, op: &'static str, a: PlanVar) -> PlanVar {
-        let s = self.shape(a).clone();
-        self.push(op, s, vec![a], NodeAttr::None)
-    }
-
-    /// Softmax over the last axis.
-    pub fn softmax(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Softmax", a)
-    }
-
-    /// GELU.
-    pub fn gelu(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Gelu", a)
-    }
-
-    /// ReLU.
-    pub fn relu(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Relu", a)
-    }
-
-    /// Elementwise square.
-    pub fn square(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Square", a)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Sqrt", a)
-    }
-
-    /// Elementwise exponent.
-    pub fn exp(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Exp", a)
-    }
-
-    /// Inverted-dropout mask application.
-    pub fn dropout(&mut self, a: PlanVar) -> PlanVar {
-        self.unary("Dropout", a)
-    }
-
-    // --------------------------------------------------------- reductions
-
-    /// Sum along `axis` (kept as size 1).
-    pub fn sum_axis(&mut self, a: PlanVar, axis: usize) -> Result<PlanVar, PlanError> {
-        let shape = rules::reduce_axis_rule(self.shape(a), axis).map_err(|e| self.err(e))?;
-        Ok(self.push("SumAxis", shape, vec![a], NodeAttr::Axis(axis)))
-    }
-
-    /// Mean along `axis` (kept as size 1).
-    pub fn mean_axis(&mut self, a: PlanVar, axis: usize) -> Result<PlanVar, PlanError> {
-        let shape = rules::reduce_axis_rule(self.shape(a), axis).map_err(|e| self.err(e))?;
-        Ok(self.push("MeanAxis", shape, vec![a], NodeAttr::Axis(axis)))
-    }
-
-    // -------------------------------------------------------------- losses
-
-    /// Smooth-L1 loss (scalar).
-    pub fn smooth_l1(&mut self, pred: PlanVar, target: PlanVar) -> Result<PlanVar, PlanError> {
-        let shape = rules::paired_loss_rule(self.shape(pred), self.shape(target))
-            .map_err(|e| self.err(e))?;
-        Ok(self.push("SmoothL1", shape, vec![pred, target], NodeAttr::None))
-    }
-
-    /// Row-wise cross-entropy (scalar); charges 5×numel(logits) MACs.
-    pub fn cross_entropy_rows(&mut self, logits: PlanVar) -> Result<PlanVar, PlanError> {
-        let ls = self.shape(logits).clone();
-        let shape = rules::cross_entropy_rule(&ls).map_err(|e| self.err(e))?;
-        self.macs.add_assign(&rules::cross_entropy_mac(&ls));
-        self.nodes.push(SymNode {
-            op: "CrossEntropyRows",
-            shape,
-            inputs: vec![logits],
-            attr: NodeAttr::None,
-        });
-        Ok(PlanVar(self.nodes.len() - 1))
+    /// The model parameter a `Param` node reads; `None` for any other op.
+    pub fn param(&self, v: PlanVar) -> Option<ParamId> {
+        self.params[v.0]
     }
 }
 
-/// Result-based mirror of `LiPFormerConfig::validate`: every inconsistency
-/// becomes a [`PlanError`] instead of a panic, so `lip-analyze` can reject a
-/// bad configuration before any model is constructed or kernel runs.
-pub fn validate_config(config: &LiPFormerConfig) -> Result<(), PlanError> {
+/// Result-based mirror of `LiPFormerConfig::validate` plus the covariate
+/// checks the model constructor asserts: every inconsistency becomes a
+/// [`PlanError`] instead of a panic, so a caller holding only a
+/// configuration and a spec rejects them before any model is constructed.
+pub fn validate_config(config: &LiPFormerConfig, spec: &CovariateSpec) -> Result<(), PlanError> {
     let c = |msg: String| PlanError::new("config", msg);
     if config.seq_len == 0 || config.pred_len == 0 || config.channels == 0 {
         return Err(c("seq_len, pred_len and channels must be positive".into()));
@@ -388,7 +176,23 @@ pub fn validate_config(config: &LiPFormerConfig) -> Result<(), PlanError> {
     if config.stages.depth == 0 {
         return Err(c("stages.depth must be >= 1".into()));
     }
-    Ok(())
+    // the encoder's dense input: explicit numerical covariates, else the
+    // implicit time features (categories alone have none)
+    let dense = if spec.has_explicit() {
+        spec.numerical
+    } else {
+        spec.time_features
+    };
+    let spec_error = if dense == 0 {
+        Some("the covariate encoder needs a numerical covariate or time feature")
+    } else if spec.cardinalities.contains(&0) {
+        Some("every categorical covariate needs a cardinality above 0")
+    } else if config.categorical_embed == 0 && !spec.cardinalities.is_empty() {
+        Some("categorical covariates need categorical_embed above 0")
+    } else {
+        None
+    };
+    spec_error.map_or(Ok(()), |m| Err(c(m.into())))
 }
 
 /// A planned forward + loss pass.
@@ -411,463 +215,307 @@ pub struct ContrastivePlan {
     pub loss: PlanVar,
 }
 
-fn f(n: usize) -> SymDim {
-    SymDim::fixed(n)
-}
-
-/// `Linear::forward`: Param(w) → MatMul → [Param(b) → Add].
-fn sym_linear(
-    t: &mut SymTape,
-    x: PlanVar,
-    in_features: usize,
-    out_features: usize,
-    bias: bool,
-) -> Result<PlanVar, PlanError> {
-    match t.shape(x).last() {
-        Some(d) if *d == f(in_features) => {}
-        other => {
-            let got = other.map(|d| d.to_string()).unwrap_or_else(|| "<rank 0>".into());
-            return Err(PlanError::new(
-                "linear",
-                format!("layer expects feature width {in_features}, input has {got}"),
-            ));
-        }
-    }
-    let w = t.param(&[in_features, out_features]);
-    let mut y = t.matmul(x, w)?;
-    if bias {
-        let b = t.param(&[out_features]);
-        y = t.add(y, b)?;
-    }
-    Ok(y)
-}
-
-/// `MultiHeadSelfAttention::forward` on `[R, S, dim]`.
-fn sym_mhsa(t: &mut SymTape, x: PlanVar, dim: usize, heads: usize) -> Result<PlanVar, PlanError> {
-    let shape = t.shape(x).clone();
-    if shape.len() != 3 {
-        return Err(PlanError::new(
-            "attention",
-            format!("expects [batch, seq, dim], got {}", shape_to_string(&shape)),
-        ));
-    }
-    if heads == 0 || !dim.is_multiple_of(heads) {
-        return Err(PlanError::new(
-            "attention",
-            format!("dim {dim} not divisible by heads {heads}"),
-        ));
-    }
-    let (r, s) = (shape[0], shape[1]);
-    let dh = dim / heads;
-    let q = sym_linear(t, x, dim, dim, false)?;
-    let k = sym_linear(t, x, dim, dim, false)?;
-    let v = sym_linear(t, x, dim, dim, false)?;
-    let split = |t: &mut SymTape, proj: PlanVar| -> Result<PlanVar, PlanError> {
-        let re = t.reshape(proj, vec![r, s, f(heads), f(dh)])?;
-        t.permute(re, &[0, 2, 1, 3])
-    };
-    let qh = split(t, q)?;
-    let kh = split(t, k)?;
-    let vh = split(t, v)?;
-    let kt = t.transpose(kh, 2, 3)?;
-    let scores = t.matmul(qh, kt)?;
-    // same expression as MultiHeadSelfAttention::forward — the executor
-    // applies the plan's scalar bit-for-bit
-    let scaled = t.mul_scalar(scores, 1.0 / (dh as f32).sqrt());
-    let attn = t.softmax(scaled);
-    let ctx = t.matmul(attn, vh)?;
-    let merged = t.permute(ctx, &[0, 2, 1, 3])?;
-    let flat = t.reshape(merged, vec![r, s, f(dim)])?;
-    sym_linear(t, flat, dim, dim, false)
-}
-
-/// `LayerNorm::forward` over the last axis.
-fn sym_layer_norm(t: &mut SymTape, x: PlanVar, dim: usize) -> Result<PlanVar, PlanError> {
-    let last = t.shape(x).len() - 1;
-    let mu = t.mean_axis(x, last)?;
-    let centered = t.sub(x, mu)?;
-    let sq = t.square(centered);
-    let var = t.mean_axis(sq, last)?;
-    let var_eps = t.add_scalar(var, 1e-5); // LayerNorm::new's eps
-    let std = t.sqrt(var_eps);
-    let normed = t.div(centered, std)?;
-    let gamma = t.param(&[dim]);
-    let scaled = t.mul(normed, gamma)?;
-    let beta = t.param(&[dim]);
-    t.add(scaled, beta)
-}
-
-/// `EncoderTrunk::forward`: residual attention, flatten, project to `[B, L]`.
-fn sym_trunk(
-    t: &mut SymTape,
-    fin: PlanVar,
-    horizon: usize,
-    hidden: usize,
-) -> Result<PlanVar, PlanError> {
-    let b = t.shape(fin)[0];
-    let heads = compatible_heads(hidden, 4);
-    let attended = sym_mhsa(t, fin, hidden, heads)?;
-    let residual = t.add(attended, fin)?;
-    let flat = t.reshape(residual, vec![b, f(horizon * hidden)])?;
-    sym_linear(t, flat, horizon * hidden, horizon, true)
-}
-
-/// `CovariateEncoder::forward` for either the explicit or implicit policy.
-fn sym_covariate_encoder(
-    t: &mut SymTape,
-    spec: &CovariateSpec,
-    horizon: usize,
-    hidden: usize,
-    categorical_embed: usize,
-) -> Result<PlanVar, PlanError> {
-    t.stage("covariate_encoder");
-    let (numerical_width, cardinalities): (usize, &[usize]) = if spec.has_explicit() {
-        (spec.numerical, &spec.cardinalities)
-    } else {
-        (spec.time_features, &[])
-    };
-    if numerical_width + cardinalities.len() == 0 {
-        return Err(PlanError::new(
-            "covariate_encoder",
-            "needs at least one input channel (no numerical covariates, categories or time features)",
-        ));
-    }
-    let mut parts: Vec<PlanVar> = Vec::new();
-    if numerical_width > 0 {
-        parts.push(t.leaf_labeled(
-            "covariate",
-            vec![SymDim::batch(), f(horizon), f(numerical_width)],
-        ));
-    }
-    for &card in cardinalities {
-        if card == 0 || categorical_embed == 0 {
-            return Err(PlanError::new(
-                "covariate_encoder",
-                "embedding needs vocab > 0 and dim > 0",
-            ));
-        }
-        let table = t.param(&[card, categorical_embed]);
-        let gathered = t.gather_rows(table, SymDim::batch_times(horizon))?;
-        parts.push(t.reshape(
-            gathered,
-            vec![SymDim::batch(), f(horizon), f(categorical_embed)],
-        )?);
-    }
-    let cat = if parts.len() == 1 {
-        parts[0]
-    } else {
-        t.concat(&parts, 2)?
-    };
-    let cf = numerical_width + cardinalities.len() * categorical_embed;
-    let lifted = sym_linear(t, cat, cf, hidden, true)?;
-    sym_trunk(t, lifted, horizon, hidden)
-}
-
-/// Symbolic mirror of `lipformer::stages::NormState`: the normalization
-/// nodes a planned representation saves for the projection's inverse.
-#[derive(Debug, Clone, Copy)]
-enum SymNorm {
-    /// Last-value anchor `[B, 1, c]`.
-    LastValue {
-        /// The sliced anchor node.
-        anchor: PlanVar,
-    },
-    /// Per-window statistics `[B, 1, c]`.
-    MeanStd {
-        /// Channel means.
-        mean: PlanVar,
-        /// Channel standard deviations.
-        std: PlanVar,
-    },
-}
-
-impl SymNorm {
-    /// Mirror of `NormState::denormalize` on a `[B, L, c]` prediction.
-    fn denormalize(self, t: &mut SymTape, y: PlanVar) -> Result<PlanVar, PlanError> {
-        match self {
-            SymNorm::LastValue { anchor } => t.add(y, anchor),
-            SymNorm::MeanStd { mean, std } => {
-                let scaled = t.mul(y, std)?;
-                t.add(scaled, mean)
-            }
-        }
-    }
-}
-
-/// Representation stage plan (`Representation::forward`): normalize
-/// `[B, tl, c]` and patch into `[B·c, n, pl]` channel-independent tokens.
-fn sym_representation(
-    t: &mut SymTape,
-    x: PlanVar,
-    config: &LiPFormerConfig,
-) -> Result<(PlanVar, SymNorm), PlanError> {
-    let (tl, c, pl) = (config.seq_len, config.channels, config.patch_len);
-    let n = tl / pl;
-    let norm;
-    let normed = match config.stages.representation {
-        ReprKind::LastValue => {
-            t.stage("instance_norm");
-            let last = t.slice_axis(x, 1, tl - 1, tl)?;
-            norm = SymNorm::LastValue { anchor: last };
-            t.sub(x, last)?
-        }
-        ReprKind::MeanStd => {
-            t.stage("mean_std_norm");
-            let mean = t.mean_axis(x, 1)?;
-            let centered = t.sub(x, mean)?;
-            let sq = t.square(centered);
-            let var = t.mean_axis(sq, 1)?;
-            let var_eps = t.add_scalar(var, 1e-5); // MeanStdRepr's eps
-            let std = t.sqrt(var_eps);
-            norm = SymNorm::MeanStd { mean, std };
-            t.div(centered, std)?
-        }
-    };
-    t.stage("patching");
-    let per_channel = t.permute(normed, &[0, 2, 1])?;
-    let tokens = t.reshape(per_channel, vec![SymDim::batch_times(c), f(n), f(pl)])?;
-    Ok((tokens, norm))
-}
-
-/// `LipAttentionExtraction::forward`: Cross-Patch trend mixing →
-/// Inter-Patch attention, with the Table X LN/FFN ablation inserts.
-fn sym_lip_attention(
-    t: &mut SymTape,
-    tokens: PlanVar,
-    config: &LiPFormerConfig,
-    training: bool,
-) -> Result<PlanVar, PlanError> {
-    let (pl, hd) = (config.patch_len, config.hidden);
-    let n = config.seq_len / pl;
-
-    // ---- Cross-Patch trend mixing
-    t.stage("cross_patch");
-    let trends = t.transpose(tokens, 1, 2)?;
-    let mixed = if config.use_cross_patch {
-        let heads = compatible_heads(n, config.heads);
-        sym_mhsa(t, trends, n, heads)?
-    } else {
-        sym_linear(t, trends, n, n, true)?
-    };
-    let residual = t.add(mixed, trends)?;
-    let patches = t.transpose(residual, 1, 2)?;
-    let mut h = sym_linear(t, patches, pl, hd, true)?;
-    if config.with_layer_norm {
-        t.stage("layer_norm_cross");
-        h = sym_layer_norm(t, h, hd)?;
-    }
-    let apply_dropout = training && config.dropout > 0.0;
-    if apply_dropout {
-        h = t.dropout(h);
-    }
-
-    // ---- Inter-Patch attention (residual)
-    t.stage("inter_patch");
-    let mixed = if config.use_inter_patch {
-        let heads = compatible_heads(hd, config.heads);
-        sym_mhsa(t, h, hd, heads)?
-    } else {
-        sym_linear(t, h, hd, hd, true)?
-    };
-    let mut h = t.add(mixed, h)?;
-    if config.with_ffn {
-        t.stage("ffn");
-        let up = sym_linear(t, h, hd, 4 * hd, true)?;
-        let act = t.gelu(up);
-        let down = sym_linear(t, act, 4 * hd, hd, true)?;
-        h = t.add(down, h)?;
-    }
-    if config.with_layer_norm {
-        t.stage("layer_norm_inter");
-        h = sym_layer_norm(t, h, hd)?;
-    }
-    if apply_dropout {
-        h = t.dropout(h);
-    }
-    Ok(h)
-}
-
-/// `TransformerExtraction::forward`: patch embedding + learned positional
-/// encoding + `stages.depth` post-norm encoder blocks (`EncoderBlock`).
-fn sym_transformer_encoder(
-    t: &mut SymTape,
-    tokens: PlanVar,
-    config: &LiPFormerConfig,
-    training: bool,
-) -> Result<PlanVar, PlanError> {
-    let (pl, hd) = (config.patch_len, config.hidden);
-    let n = config.seq_len / pl;
-    let heads = compatible_heads(hd, config.heads);
-    let apply_dropout = training && config.dropout > 0.0;
-
-    t.stage("patch_embed");
-    let mut h = sym_linear(t, tokens, pl, hd, true)?;
-    // LearnedPositionalEncoding::forward: table → first-n rows → add
-    let table = t.param(&[n, hd]);
-    let pe = t.slice_axis(table, 0, 0, n)?;
-    h = t.add(h, pe)?;
-
-    for i in 0..config.stages.depth {
-        t.stage(&format!("encoder_layer{i}"));
-        // EncoderBlock::forward: post-norm attention and FFN sublayers
-        let a = sym_mhsa(t, h, hd, heads)?;
-        let a = if apply_dropout { t.dropout(a) } else { a };
-        let r1 = t.add(h, a)?;
-        let hn = sym_layer_norm(t, r1, hd)?;
-        let up = sym_linear(t, hn, hd, 4 * hd, true)?;
-        let act = t.gelu(up);
-        let down = sym_linear(t, act, 4 * hd, hd, true)?;
-        let down = if apply_dropout { t.dropout(down) } else { down };
-        let r2 = t.add(hn, down)?;
-        h = sym_layer_norm(t, r2, hd)?;
-    }
-    Ok(h)
-}
-
-/// Extraction stage plan (`Extraction::forward`): `[B·c, n, pl]` tokens to
-/// `[B·c, n, hd]` features.
-fn sym_extraction(
-    t: &mut SymTape,
-    tokens: PlanVar,
-    config: &LiPFormerConfig,
-    training: bool,
-) -> Result<PlanVar, PlanError> {
-    match config.stages.extraction {
-        ExtractKind::LipAttention => sym_lip_attention(t, tokens, config, training),
-        ExtractKind::PatchTst => sym_transformer_encoder(t, tokens, config, training),
-    }
-}
-
-/// Projection stage plan (`Projection::forward`): `[B·c, n, hd]` features to
-/// a de-normalized `[B, L, c]` forecast.
-fn sym_projection(
-    t: &mut SymTape,
-    h: PlanVar,
-    config: &LiPFormerConfig,
-    norm: SymNorm,
-) -> Result<PlanVar, PlanError> {
-    let (c, pl, hd, l) = (
-        config.channels,
-        config.patch_len,
-        config.hidden,
-        config.pred_len,
-    );
-    let n = config.seq_len / pl;
-    let bc = SymDim::batch_times(c);
-    t.stage("head");
-    let trimmed = match config.stages.projection {
-        ProjKind::PatchHead => {
-            // two single-layer MLP heads: token axis n→nt, feature axis hd→pl
-            let nt = l.div_ceil(pl);
-            let swapped = t.transpose(h, 1, 2)?;
-            let tokens = sym_linear(t, swapped, n, nt, true)?;
-            let back = t.transpose(tokens, 1, 2)?;
-            let patches_out = sym_linear(t, back, hd, pl, true)?;
-            let flat = t.reshape(patches_out, vec![bc, f(nt * pl)])?;
-            t.slice_axis(flat, 1, 0, l)?
-        }
-        ProjKind::FlattenLinear => {
-            // PatchTST flatten head: [B·c, n·hd] → [B·c, L]
-            let flat = t.reshape(h, vec![bc, f(n * hd)])?;
-            sym_linear(t, flat, n * hd, l, true)?
-        }
-    };
-    // Patching::merge_channels, then the representation's inverse
-    let split = t.reshape(trimmed, vec![SymDim::batch(), f(c), f(l)])?;
-    let merged = t.permute(split, &[0, 2, 1])?;
-    norm.denormalize(t, merged)
-}
-
-/// Plan the complete `LiPFormer::forward` + Smooth-L1 graph (the tape
-/// `Trainer::fit` differentiates) for whatever stage composition
-/// `config.stages` selects — mirroring `ComposedForecaster::forward` stage
-/// by stage. `training` plans the dropout nodes the runtime records when
+/// Lift the complete `LiPFormer::forward` + Smooth-L1 graph (the tape
+/// `Trainer::fit` differentiates) from `model`, recorded at `B = 1` and
+/// `B = 2`. `spec` must be the covariate spec the model was built with;
+/// `training` records the dropout nodes the trainer's tape has when
 /// `dropout > 0`.
 pub fn plan_forward_loss(
-    config: &LiPFormerConfig,
+    model: &LiPFormer,
     spec: &CovariateSpec,
     training: bool,
 ) -> Result<ForwardPlan, PlanError> {
-    validate_config(config)?;
-    let (l, c) = (config.pred_len, config.channels);
-
-    let mut t = SymTape::new();
-    let x = t.leaf_labeled("x", vec![SymDim::batch(), f(config.seq_len), f(c)]);
-
-    // ---- stage pipeline: representation → extraction → projection
-    let (tokens, norm) = sym_representation(&mut t, x, config)?;
-    let h = sym_extraction(&mut t, tokens, config, training)?;
-    let y_base = sym_projection(&mut t, h, config, norm)?;
-
-    // ---- weak-data enriching guide (Eq. 8)
-    let v_c = sym_covariate_encoder(
-        &mut t,
-        spec,
-        l,
-        config.encoder_hidden,
-        config.categorical_embed,
-    )?;
-    t.stage("vector_mapping");
-    let flat = sym_linear(&mut t, v_c, l, l * c, true)?;
-    let correction = t.reshape(flat, vec![SymDim::batch(), f(l), f(c)])?;
-    let pred = t.add(y_base, correction)?;
-
-    // ---- training objective
-    t.stage("loss");
-    let target = t.leaf_labeled("target", vec![SymDim::batch(), f(l), f(c)]);
-    let loss = t.smooth_l1(pred, target)?;
-
-    Ok(ForwardPlan { tape: t, pred, loss })
+    let beta = model.config().smooth_l1_beta;
+    let (tape, outputs) = trace(model, spec, 1, "target", |g, batch| {
+        let (pred, loss) = forward_loss(g, model, batch, beta, training, 0);
+        vec![pred, loss]
+    })?;
+    Ok(ForwardPlan {
+        tape,
+        pred: outputs[0],
+        loss: outputs[1],
+    })
 }
 
-/// Plan the symmetric contrastive pre-training graph
-/// (`WeakEnriching::contrastive_loss`).
+/// Lift the symmetric contrastive pre-training graph
+/// (`WeakEnriching::contrastive_loss`) from `model`, recorded at `B = 2`
+/// and `B = 3` — the loss needs at least two pairs.
 pub fn plan_contrastive(
-    config: &LiPFormerConfig,
+    model: &LiPFormer,
     spec: &CovariateSpec,
 ) -> Result<ContrastivePlan, PlanError> {
-    validate_config(config)?;
-    let (l, c, eh) = (config.pred_len, config.channels, config.encoder_hidden);
-    let mut t = SymTape::new();
+    if !model.has_enriching() {
+        return Err(PlanError::new(
+            "config",
+            "the contrastive graph needs the weak-enriching module",
+        ));
+    }
+    let (tape, outputs) = trace(model, spec, 2, "y", |g, batch| {
+        vec![model.contrastive_loss(g, batch)]
+    })?;
+    Ok(ContrastivePlan {
+        tape,
+        loss: outputs[0],
+    })
+}
 
-    let v_c = sym_covariate_encoder(&mut t, spec, l, eh, config.categorical_embed)?;
+/// Record one graph of `model` on synthetic batches of size `b` and `b + 1`
+/// and lift the pair. `record` appends the graph and returns its output
+/// nodes; `target` labels the leaf that aliases the batch's `y`.
+fn trace(
+    model: &LiPFormer,
+    spec: &CovariateSpec,
+    b: usize,
+    target: &'static str,
+    record: impl Fn(&mut Graph<'_>, &Batch) -> Vec<Var>,
+) -> Result<(SymTape, Vec<PlanVar>), PlanError> {
+    let config = model.config();
+    validate_config(config, spec)?;
+    let batches = [b, b + 1].map(|n| synthetic_batch(config, spec, n));
+    // each tape is read and dropped before the next is recorded, so only
+    // one recording's activations are alive at a time
+    let [(lo, lo_out), (hi, hi_out)] = batches.each_ref().map(|batch| {
+        let mut g = Graph::new(model.store());
+        let outputs = record(&mut g, batch);
+        (Recording::new(&g, batch, spec, target), outputs)
+    });
+    if lo_out != hi_out {
+        let m = format!(
+            "the graph's outputs moved between B = {b} and B = {}",
+            b + 1
+        );
+        return Err(PlanError::new("lift", m));
+    }
+    let tape = lift(model.store(), &[lo, hi])?;
+    Ok((tape, lo_out.iter().map(|v| PlanVar(v.index())).collect()))
+}
 
-    t.stage("target_encoder");
-    let y = t.leaf_labeled("y", vec![SymDim::batch(), f(l), f(c)]);
-    let lifted = sym_linear(&mut t, y, c, eh, true)?;
-    let v_t = sym_trunk(&mut t, lifted, l, eh)?;
+/// One recorded node as the lift reads it: its op, its output shape and,
+/// for a leaf, the label of the batch tensor it aliases.
+struct Traced {
+    op: Op,
+    shape: Vec<usize>,
+    label: Option<&'static str>,
+}
 
-    t.stage("contrastive_loss");
-    let temp = t.param(&[]);
+/// What the lift reads off one recording: its batch size, its nodes, its
+/// MAC counter, and the categorical channels its `GatherRows` nodes must
+/// read, in order — the order in which the executor feeds them.
+struct Recording<'a> {
+    b: usize,
+    nodes: Vec<Traced>,
+    macs: u64,
+    categorical: &'a [Vec<usize>],
+}
 
-    // l2_normalize_rows(v_target) then l2_normalize_rows(v_covariate)
-    let l2norm = |t: &mut SymTape, v: PlanVar| -> Result<PlanVar, PlanError> {
-        let rank = t.shape(v).len();
-        let sq = t.square(v);
-        let ss = t.sum_axis(sq, rank - 1)?;
-        let ss_eps = t.add_scalar(ss, 1e-8); // l2_normalize_rows' epsilon
-        let norm = t.sqrt(ss_eps);
-        t.div(v, norm)
+impl<'a> Recording<'a> {
+    /// Read `g`, recorded on `batch`, labelling the leaves that alias `x`,
+    /// the covariate input and `y` (as `target`).
+    fn new(g: &Graph<'_>, batch: &'a Batch, spec: &CovariateSpec, target: &'static str) -> Self {
+        let covariate = if spec.has_explicit() {
+            batch.cov_numerical.as_ref()
+        } else {
+            Some(&batch.time_feats)
+        };
+        let mut sources = vec![
+            (batch.x.storage_ptr(), "x"),
+            (batch.y.storage_ptr(), target),
+        ];
+        sources.extend(covariate.map(|t| (t.storage_ptr(), "covariate")));
+        let categorical = batch.cov_categorical.as_deref().unwrap_or(&[]);
+        Self::read(g, batch.x.shape()[0], &sources, categorical)
+    }
+
+    /// Read `g`, recorded at batch size `b`; a leaf whose storage is one of
+    /// `sources` gets that label, any other leaf `"leaf"`.
+    fn read(
+        g: &Graph<'_>,
+        b: usize,
+        sources: &[(usize, &'static str)],
+        categorical: &'a [Vec<usize>],
+    ) -> Self {
+        let nodes = (0..g.len())
+            .map(|i| {
+                let op = g.op_at(i).clone();
+                let label = matches!(op, Op::Leaf).then(|| {
+                    let ptr = g.value(g.var(i)).storage_ptr();
+                    sources
+                        .iter()
+                        .find(|&&(p, _)| p == ptr)
+                        .map_or("leaf", |&(_, l)| l)
+                });
+                Traced {
+                    op,
+                    shape: g.shape_at(i).to_vec(),
+                    label,
+                }
+            })
+            .collect();
+        Recording {
+            b,
+            nodes,
+            macs: g.macs(),
+            categorical,
+        }
+    }
+}
+
+/// Fit `d(B) = per_batch·B + fixed` through `d(b) = at_b` and
+/// `d(b + 1) = next`; `None` when a coefficient would be negative.
+fn lift_dim(at_b: usize, next: usize, b: usize) -> Option<SymDim> {
+    let per_batch = next.checked_sub(at_b)?;
+    let fixed = at_b.checked_sub(per_batch * b)?;
+    Some(SymDim { per_batch, fixed })
+}
+
+fn lift_dims(at_b: &[usize], next: &[usize], b: usize) -> Result<SymShape, String> {
+    let lifted: Option<SymShape> = at_b
+        .iter()
+        .zip(next)
+        .map(|(&d, &n)| lift_dim(d, n, b))
+        .collect();
+    match lifted {
+        Some(shape) if at_b.len() == next.len() => Ok(shape),
+        _ => Err(format!(
+            "{at_b:?} at B = {b} and {next:?} at B = {} have no affine lift with \
+             non-negative coefficients",
+            b + 1
+        )),
+    }
+}
+
+/// The compile-time attribute the executor reads off a recorded op.
+fn node_attr(op: &Op) -> NodeAttr {
+    match op {
+        Op::AddScalar(_, s) | Op::MulScalar(_, s) => NodeAttr::Scalar(*s),
+        Op::Permute(_, axes) => NodeAttr::Axes(axes.clone()),
+        Op::SumAxis(_, axis) | Op::MeanAxis(_, axis) | Op::Concat(_, axis) => NodeAttr::Axis(*axis),
+        Op::SliceAxis(_, axis, start, end) => NodeAttr::Slice {
+            axis: *axis,
+            start: *start,
+            end: *end,
+        },
+        _ => NodeAttr::None,
+    }
+}
+
+/// True when two recordings of one op agree on everything it records
+/// besides its inputs and its batch-dependent sizes — scalars bit for bit.
+fn same_attrs(a: &Op, b: &Op) -> bool {
+    match (a, b) {
+        (Op::SmoothL1(_, _, x), Op::SmoothL1(_, _, y)) => x.to_bits() == y.to_bits(),
+        (Op::Param(x), Op::Param(y)) => x == y,
+        (Op::Unfold(_, x0, x1, x2), Op::Unfold(_, y0, y1, y2)) => (x0, x1, x2) == (y0, y1, y2),
+        _ => match (node_attr(a), node_attr(b)) {
+            (NodeAttr::Scalar(x), NodeAttr::Scalar(y)) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        },
+    }
+}
+
+/// Lift two recordings of one graph, at batch sizes `b` and `b + 1`, into
+/// a [`SymTape`] (see the module docs for what is checked).
+fn lift(store: &ParamStore, runs: &[Recording<'_>; 2]) -> Result<SymTape, PlanError> {
+    let [lo, hi] = runs;
+    let (b, n) = (lo.b, lo.nodes.len());
+    if hi.nodes.len() != n {
+        let m = format!(
+            "{n} nodes recorded at B = {b} but {} at B = {}",
+            hi.nodes.len(),
+            hi.b
+        );
+        return Err(PlanError::new("lift", m));
+    }
+    let mut tape = SymTape {
+        nodes: Vec::with_capacity(n),
+        macs: SymPoly::zero(),
+        params: Vec::with_capacity(n),
     };
-    let vt = l2norm(&mut t, v_t)?;
-    let vc = l2norm(&mut t, v_c)?;
-    let vct = t.transpose(vc, 0, 1)?;
-    let sims = t.matmul(vt, vct)?;
-    let e_t = t.exp(temp);
-    let logits = t.mul(sims, e_t)?;
-    let loss_rows = t.cross_entropy_rows(logits)?;
-    let logits_t = t.transpose(logits, 0, 1)?;
-    let loss_cols = t.cross_entropy_rows(logits_t)?;
-    let total = t.add(loss_rows, loss_cols)?;
-    let loss = t.mul_scalar(total, 0.5);
-
-    Ok(ContrastivePlan { tape: t, loss })
+    let mut gathers = 0usize;
+    for (i, (at_lo, at_hi)) in lo.nodes.iter().zip(&hi.nodes).enumerate() {
+        let (op, other) = (&at_lo.op, &at_hi.op);
+        let name = op.name();
+        let fail = |m: String| PlanError::new("lift", format!("node {i} ({name}): {m}"));
+        if other.name() != name || op.inputs() != other.inputs() || !same_attrs(op, other) {
+            return Err(fail(format!(
+                "op, wiring or attributes differ at B = {}",
+                hi.b
+            )));
+        }
+        let shape = lift_dims(&at_lo.shape, &at_hi.shape, b).map_err(&fail)?;
+        let sized = lift_dims(
+            &recorded_sizes(op, &at_lo.shape),
+            &recorded_sizes(other, &at_hi.shape),
+            b,
+        )
+        .map_err(&fail)?;
+        let nodes = &tape.nodes;
+        let (derived, macs) =
+            infer_node(op, &|v| nodes[v.index()].shape.clone(), &sized, store).map_err(&fail)?;
+        if derived != shape {
+            return Err(fail(format!(
+                "the rules derive {} but the recordings lift to {}",
+                shape_to_string(&derived),
+                shape_to_string(&shape)
+            )));
+        }
+        tape.macs.add_assign(&macs);
+        let attr = match op {
+            Op::Leaf => match (at_lo.label, at_hi.label) {
+                (Some(label), Some(other)) if label == other => NodeAttr::Label(label),
+                _ => {
+                    return Err(fail(format!(
+                        "aliases another batch tensor at B = {}",
+                        hi.b
+                    )))
+                }
+            },
+            Op::GatherRows(..) => {
+                // the executor feeds the k-th gather from categorical channel k
+                for (run, recorded) in runs.iter().zip([op, other]) {
+                    let channel = run.categorical.get(gathers);
+                    if !matches!(recorded, Op::GatherRows(_, ix) if channel == Some(ix)) {
+                        return Err(fail(format!(
+                            "does not read categorical channel {gathers} at B = {}",
+                            run.b
+                        )));
+                    }
+                }
+                gathers += 1;
+                NodeAttr::None
+            }
+            _ => node_attr(op),
+        };
+        tape.params.push(match op {
+            Op::Param(id) => Some(*id),
+            _ => None,
+        });
+        tape.nodes.push(SymNode {
+            op: name,
+            shape,
+            inputs: op.inputs().iter().map(|v| PlanVar(v.index())).collect(),
+            attr,
+        });
+    }
+    for run in runs {
+        let planned = tape.macs.eval(run.b as u64);
+        if planned != run.macs {
+            let m = format!("MAC plan {} is {planned} at B = {}", tape.macs, run.b);
+            return Err(PlanError::new(
+                "lift",
+                format!("{m}, the tape counted {}", run.macs),
+            ));
+        }
+    }
+    Ok(tape)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sym::eval_shape;
+    use lip_tensor::Tensor;
+    use lipformer::{ExtractKind, ProjKind};
 
     fn implicit_spec() -> CovariateSpec {
         CovariateSpec {
@@ -877,14 +525,16 @@ mod tests {
         }
     }
 
+    fn plan(config: &LiPFormerConfig, spec: &CovariateSpec, training: bool) -> ForwardPlan {
+        let model = LiPFormer::new(config.clone(), spec, 0);
+        plan_forward_loss(&model, spec, training).unwrap()
+    }
+
     #[test]
     fn forward_plan_shapes_and_scale() {
         let config = LiPFormerConfig::small(48, 24, 3);
-        let plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
-        assert_eq!(
-            eval_shape(plan.tape.shape(plan.pred), 5),
-            vec![5, 24, 3]
-        );
+        let plan = plan(&config, &implicit_spec(), false);
+        assert_eq!(eval_shape(plan.tape.shape(plan.pred), 5), vec![5, 24, 3]);
         assert!(plan.tape.shape(plan.loss).is_empty(), "loss is scalar");
         // MACs grow linearly in B for the forward pass (no B² term without
         // the contrastive logits)
@@ -897,19 +547,24 @@ mod tests {
     #[test]
     fn contrastive_plan_is_quadratic_in_batch() {
         let config = LiPFormerConfig::small(48, 24, 2);
-        let plan = plan_contrastive(&config, &implicit_spec()).unwrap();
+        let spec = implicit_spec();
+        let model = LiPFormer::new(config, &spec, 0);
+        let plan = plan_contrastive(&model, &spec).unwrap();
         assert!(plan.tape.shape(plan.loss).is_empty());
         let m2 = plan.tape.macs().eval(2);
         let m4 = plan.tape.macs().eval(4);
         // quadratic logits terms: doubling B more than doubles the cost
-        assert!(m4 > 2 * m2, "contrastive MACs must be superlinear: {m2} vs {m4}");
+        assert!(
+            m4 > 2 * m2,
+            "contrastive MACs must be superlinear: {m2} vs {m4}"
+        );
     }
 
     #[test]
     fn off_by_one_patch_len_rejected_statically() {
         let mut config = LiPFormerConfig::small(48, 24, 2);
         config.patch_len += 1; // 48 % 7 != 0
-        let err = plan_forward_loss(&config, &implicit_spec(), false).unwrap_err();
+        let err = validate_config(&config, &implicit_spec()).unwrap_err();
         assert_eq!(err.stage, "config");
         assert!(err.message.contains("evenly divide"), "{}", err.message);
     }
@@ -922,7 +577,7 @@ mod tests {
             cardinalities: vec![2],
             time_features: 4,
         };
-        let plan = plan_forward_loss(&config, &spec, false).unwrap();
+        let plan = plan(&config, &spec, false);
         let ops: Vec<&str> = plan.tape.nodes().iter().map(|n| n.op).collect();
         assert!(ops.contains(&"GatherRows"), "embedding lookup planned");
         assert!(ops.contains(&"Concat"), "covariate concat planned");
@@ -931,11 +586,10 @@ mod tests {
     #[test]
     fn training_mode_plans_dropout() {
         let config = LiPFormerConfig::small(48, 24, 2);
-        let eval_plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
-        let train_plan = plan_forward_loss(&config, &implicit_spec(), true).unwrap();
-        let dropouts = |p: &ForwardPlan| {
-            p.tape.nodes().iter().filter(|n| n.op == "Dropout").count()
-        };
+        let eval_plan = plan(&config, &implicit_spec(), false);
+        let train_plan = plan(&config, &implicit_spec(), true);
+        let dropouts =
+            |p: &ForwardPlan| p.tape.nodes().iter().filter(|n| n.op == "Dropout").count();
         assert_eq!(dropouts(&eval_plan), 0);
         assert_eq!(dropouts(&train_plan), 2, "backbone has two dropout sites");
     }
@@ -944,8 +598,9 @@ mod tests {
     fn every_registered_composition_plans() {
         for (label, stages) in lipformer::registered_compositions() {
             let config = LiPFormerConfig::small(48, 24, 3).with_stages(stages);
+            let model = LiPFormer::new(config, &implicit_spec(), 0);
             for training in [false, true] {
-                let plan = plan_forward_loss(&config, &implicit_spec(), training)
+                let plan = plan_forward_loss(&model, &implicit_spec(), training)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(
                     eval_shape(plan.tape.shape(plan.pred), 4),
@@ -967,11 +622,10 @@ mod tests {
             projection: ProjKind::FlattenLinear,
             depth: 2,
         });
-        let eval_plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
-        let train_plan = plan_forward_loss(&config, &implicit_spec(), true).unwrap();
-        let dropouts = |p: &ForwardPlan| {
-            p.tape.nodes().iter().filter(|n| n.op == "Dropout").count()
-        };
+        let eval_plan = plan(&config, &implicit_spec(), false);
+        let train_plan = plan(&config, &implicit_spec(), true);
+        let dropouts =
+            |p: &ForwardPlan| p.tape.nodes().iter().filter(|n| n.op == "Dropout").count();
         assert_eq!(dropouts(&eval_plan), 0);
         assert_eq!(
             dropouts(&train_plan),
@@ -991,8 +645,139 @@ mod tests {
     fn zero_stage_depth_rejected_statically() {
         let mut config = LiPFormerConfig::small(48, 24, 2);
         config.stages.depth = 0;
-        let err = plan_forward_loss(&config, &implicit_spec(), false).unwrap_err();
+        let err = validate_config(&config, &implicit_spec()).unwrap_err();
         assert_eq!(err.stage, "config");
         assert!(err.message.contains("depth"), "{}", err.message);
+    }
+
+    #[test]
+    fn hostile_specs_rejected_statically() {
+        let config = LiPFormerConfig::small(48, 24, 2);
+        let no_channel = CovariateSpec {
+            numerical: 0,
+            cardinalities: vec![],
+            time_features: 0,
+        };
+        let zero_card = CovariateSpec {
+            numerical: 2,
+            cardinalities: vec![0],
+            time_features: 4,
+        };
+        let categories_only = CovariateSpec {
+            numerical: 0,
+            cardinalities: vec![5],
+            time_features: 4,
+        };
+        for spec in [&no_channel, &zero_card, &categories_only] {
+            let err = validate_config(&config, spec).unwrap_err();
+            assert_eq!(err.stage, "config", "{spec:?}: {err}");
+        }
+        let mut no_embed = config.clone();
+        no_embed.categorical_embed = 0;
+        let categorical = CovariateSpec {
+            numerical: 2,
+            cardinalities: vec![5],
+            time_features: 4,
+        };
+        let err = validate_config(&no_embed, &categorical).unwrap_err();
+        assert!(err.message.contains("categorical_embed"), "{err}");
+        assert!(validate_config(&no_embed, &implicit_spec()).is_ok());
+    }
+
+    /// Lift a hand-built graph recorded by `record` at B = 1 and B = 2.
+    fn lift_pair(record: impl Fn(&mut Graph<'_>, usize)) -> Result<SymTape, PlanError> {
+        let store = ParamStore::new();
+        let runs = [1, 2].map(|b| {
+            let mut g = Graph::new(&store);
+            record(&mut g, b);
+            Recording::read(&g, b, &[], &[])
+        });
+        lift(&store, &runs)
+    }
+
+    fn leaf(g: &mut Graph<'_>, shape: &[usize]) -> Var {
+        g.constant(Tensor::ones(shape))
+    }
+
+    #[test]
+    fn lift_of_an_affine_graph_is_symbolic() {
+        let tape = lift_pair(|g, b| {
+            let x = leaf(g, &[b, 3]);
+            let w = leaf(g, &[3, 4]);
+            let y = g.matmul(x, w);
+            g.add_scalar(y, 0.5);
+        })
+        .unwrap();
+        assert_eq!(
+            tape.nodes()[2].shape,
+            vec![SymDim::batch(), SymDim::fixed(4)]
+        );
+        assert_eq!(tape.nodes()[3].attr, NodeAttr::Scalar(0.5));
+        assert_eq!(tape.nodes()[0].attr, NodeAttr::Label("leaf"));
+        assert_eq!(tape.macs().eval(7), 7 * 12);
+    }
+
+    #[test]
+    fn lift_rejects_recordings_that_differ_in_op() {
+        let err = lift_pair(|g, b| {
+            let x = leaf(g, &[b, 3]);
+            if b == 1 {
+                g.relu(x);
+            } else {
+                g.exp(x);
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err.stage, "lift");
+        assert!(err.message.contains("node 1"), "{err}");
+    }
+
+    #[test]
+    fn lift_rejects_recordings_that_differ_in_wiring() {
+        let err = lift_pair(|g, b| {
+            let x = leaf(g, &[b, 3]);
+            let y = leaf(g, &[b, 3]);
+            if b == 1 {
+                g.sub(x, y);
+            } else {
+                g.sub(y, x);
+            }
+        })
+        .unwrap_err();
+        assert!(err.message.contains("node 2 (Sub)"), "{err}");
+    }
+
+    #[test]
+    fn lift_rejects_recordings_that_differ_in_attribute() {
+        let err = lift_pair(|g, b| {
+            let x = leaf(g, &[b, 3]);
+            g.add_scalar(x, b as f32);
+        })
+        .unwrap_err();
+        assert!(err.message.contains("node 1 (AddScalar)"), "{err}");
+    }
+
+    #[test]
+    fn lift_rejects_a_quadratic_dim() {
+        // [B²]: 1 at B = 1, 4 at B = 2 — the affine fit needs fixed = -2
+        let err = lift_pair(|g, b| {
+            leaf(g, &[b * b]);
+        })
+        .unwrap_err();
+        assert!(err.message.contains("no affine lift"), "{err}");
+    }
+
+    #[test]
+    fn rule_table_rejects_a_lift_that_only_fits_two_batch_sizes() {
+        // max(B, 2) lifts to the constant 2, and [2] + [B] broadcasts at
+        // both recorded sizes — but not for B = 3, which the rules catch
+        let err = lift_pair(|g, b| {
+            let a = leaf(g, &[b.max(2)]);
+            let c = leaf(g, &[b]);
+            g.add(a, c);
+        })
+        .unwrap_err();
+        assert!(err.message.contains("node 2 (Add)"), "{err}");
+        assert!(err.message.contains("cannot broadcast"), "{err}");
     }
 }

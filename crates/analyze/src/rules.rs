@@ -1,9 +1,10 @@
 //! Per-op shape transfer functions over symbolic dimensions, plus the MAC
-//! cost table. These rules are the single source of truth shared by
-//! [`crate::infer`] (validating a recorded tape, all dims fixed) and
-//! [`crate::plan`] (building the symbolic forward plan). The MAC formulas
-//! mirror `lip_autograd::Graph`'s accounting exactly — the parity tests
-//! enforce both directions.
+//! cost table. These rules are the single source of truth behind
+//! `infer::infer_node`, which both [`crate::infer`] (validating a recorded
+//! tape, all dims fixed) and [`crate::plan`] (checking a lifted plan for
+//! every batch size) dispatch through. The MAC formulas mirror
+//! `lip_autograd::Graph`'s accounting exactly — both callers compare the
+//! totals with the graph's counter.
 
 use crate::sym::{shape_to_string, SymDim, SymPoly, SymShape};
 

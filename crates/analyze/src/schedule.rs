@@ -387,7 +387,7 @@ impl InferenceSchedule {
 mod tests {
     use super::*;
     use crate::plan::plan_forward_loss;
-    use lipformer::LiPFormerConfig;
+    use lipformer::{LiPFormer, LiPFormerConfig};
     use lip_data::CovariateSpec;
 
     fn implicit_spec() -> CovariateSpec {
@@ -401,7 +401,8 @@ mod tests {
     #[test]
     fn schedule_drops_loss_head_and_reuses_slots() {
         let config = LiPFormerConfig::small(48, 24, 3);
-        let plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
+        let model = LiPFormer::new(config, &implicit_spec(), 0);
+        let plan = plan_forward_loss(&model, &implicit_spec(), false).unwrap();
         let sched = InferenceSchedule::build(&plan).unwrap();
         // the loss head (target leaf + SmoothL1) is dead code for inference;
         // every fused stage removes exactly one step beyond that
@@ -436,7 +437,8 @@ mod tests {
     fn training_plan_with_dropout_is_rejected() {
         let mut config = LiPFormerConfig::small(48, 24, 2);
         config.dropout = 0.1;
-        let plan = plan_forward_loss(&config, &implicit_spec(), true).unwrap();
+        let model = LiPFormer::new(config, &implicit_spec(), 0);
+        let plan = plan_forward_loss(&model, &implicit_spec(), true).unwrap();
         let e = InferenceSchedule::build(&plan).unwrap_err();
         assert!(e.message.contains("Dropout"), "{e}");
     }
@@ -444,7 +446,8 @@ mod tests {
     #[test]
     fn pred_slots_never_die() {
         let config = LiPFormerConfig::small(48, 24, 2);
-        let plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
+        let model = LiPFormer::new(config, &implicit_spec(), 0);
+        let plan = plan_forward_loss(&model, &implicit_spec(), false).unwrap();
         let sched = InferenceSchedule::build(&plan).unwrap();
         let pred_pos = sched
             .steps

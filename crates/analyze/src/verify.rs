@@ -888,7 +888,7 @@ mod tests {
     use super::*;
     use crate::plan::plan_forward_loss;
     use lip_data::CovariateSpec;
-    use lipformer::LiPFormerConfig;
+    use lipformer::{LiPFormer, LiPFormerConfig};
 
     fn implicit_spec() -> CovariateSpec {
         CovariateSpec { numerical: 0, cardinalities: vec![], time_features: 4 }
@@ -907,7 +907,8 @@ mod tests {
     fn real_schedules_verify_clean() {
         for channels in [2usize, 3] {
             let config = LiPFormerConfig::small(48, 24, channels);
-            let plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
+            let model = LiPFormer::new(config, &implicit_spec(), 0);
+            let plan = plan_forward_loss(&model, &implicit_spec(), false).unwrap();
             for sched in [
                 InferenceSchedule::build(&plan).unwrap(),
                 InferenceSchedule::build_unfused(&plan).unwrap(),

@@ -290,7 +290,7 @@ impl<'s> Graph<'s> {
     /// `a + s` for a scalar `s`.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
         let v = self.nodes[a.0].value.add_scalar(s);
-        self.push(v, Op::AddScalar(a))
+        self.push(v, Op::AddScalar(a, s))
     }
 
     /// `a * s` for a scalar `s`.
@@ -592,6 +592,18 @@ mod tests {
         match g.op(y) {
             Op::Reshape(_, target) => assert_eq!(target, &[3, 2]),
             other => panic!("expected Reshape, got {}", other.name()),
+        }
+    }
+
+    #[test]
+    fn add_scalar_records_immediate() {
+        let store = ParamStore::new();
+        let mut g = Graph::new(&store);
+        let x = g.constant(Tensor::ones(&[2]));
+        let y = g.add_scalar(x, 1e-5);
+        match g.op(y) {
+            Op::AddScalar(_, s) => assert_eq!(s.to_bits(), 1e-5f32.to_bits()),
+            other => panic!("expected AddScalar, got {}", other.name()),
         }
     }
 }

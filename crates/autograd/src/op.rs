@@ -19,7 +19,7 @@ pub enum Op {
     Sub(Var, Var),
     Mul(Var, Var),
     Div(Var, Var),
-    AddScalar(Var),
+    AddScalar(Var, f32),
     MulScalar(Var, f32),
     Neg(Var),
     MatMul(Var, Var),
@@ -79,7 +79,7 @@ impl Op {
             Sub(..) => "Sub",
             Mul(..) => "Mul",
             Div(..) => "Div",
-            AddScalar(_) => "AddScalar",
+            AddScalar(..) => "AddScalar",
             MulScalar(..) => "MulScalar",
             Neg(_) => "Neg",
             MatMul(..) => "MatMul",
@@ -121,7 +121,7 @@ impl Op {
             Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | MatMul(a, b) | MseLoss(a, b)
             | MaeLoss(a, b) => vec![*a, *b],
             SmoothL1(a, b, _) => vec![*a, *b],
-            AddScalar(a) | MulScalar(a, _) | Neg(a) | Permute(a, _) | Reshape(a, _)
+            AddScalar(a, _) | MulScalar(a, _) | Neg(a) | Permute(a, _) | Reshape(a, _)
             | BroadcastTo(a, _) | Softmax(a) | LogSoftmax(a) | Relu(a) | Gelu(a) | Sigmoid(a)
             | Tanh(a) | Sqrt(a) | Exp(a) | Ln(a) | Square(a) | Abs(a) | Dropout(a, _)
             | Sum(a) | Mean(a) | SumAxis(a, _) | MeanAxis(a, _) | SliceAxis(a, _, _, _)
@@ -177,7 +177,7 @@ impl Op {
                     .reduce_to_shape(vb.shape());
                 vec![(*a, da), (*b, db)]
             }
-            AddScalar(a) => vec![(*a, grad.clone())],
+            AddScalar(a, _) => vec![(*a, grad.clone())],
             MulScalar(a, s) => vec![(*a, grad.mul_scalar(*s))],
             Neg(a) => vec![(*a, grad.neg())],
 

@@ -24,12 +24,26 @@ pub fn record_forward_loss<'m, M: Forecaster + ?Sized>(
     training: bool,
     seed: u64,
 ) -> (Graph<'m>, Var, Var) {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::with_sanitizer(model.store());
-    let pred = model.forward(&mut g, batch, training, &mut rng);
-    let target = g.constant(batch.y.clone());
-    let loss = g.smooth_l1_loss(pred, target, beta);
+    let (pred, loss) = forward_loss(&mut g, model, batch, beta, training, seed);
     (g, pred, loss)
+}
+
+/// Append the forward + Smooth-L1 loss graph of [`record_forward_loss`] to
+/// `g`, whatever tape it is (the plan lift records on plain tapes, without
+/// the sanitizer's extra pass). Returns the prediction and loss nodes.
+pub fn forward_loss<M: Forecaster + ?Sized>(
+    g: &mut Graph,
+    model: &M,
+    batch: &Batch,
+    beta: f32,
+    training: bool,
+    seed: u64,
+) -> (Var, Var) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pred = model.forward(g, batch, training, &mut rng);
+    let target = g.constant(batch.y.clone());
+    (pred, g.smooth_l1_loss(pred, target, beta))
 }
 
 /// Record the symmetric contrastive pre-training graph on a sanitizing tape.

@@ -111,9 +111,8 @@ impl CrossPatch {
 
 /// Largest head count ≤ `preferred` dividing `dim` (trend length `n` is often
 /// small and odd, e.g. 15 at paper scale, so cross-patch may fall back to a
-/// single head). Public so the static analyzer can mirror the model's head
-/// selection when building its symbolic plan.
-pub fn compatible_heads(dim: usize, preferred: usize) -> usize {
+/// single head).
+pub(crate) fn compatible_heads(dim: usize, preferred: usize) -> usize {
     (1..=preferred.max(1))
         .rev()
         .find(|h| dim.is_multiple_of(*h))

@@ -1,31 +1,26 @@
-//! Compilation: symbolic plan → verified, parameter-laden [`CompiledModel`].
+//! Compilation: lifted plan → verified, parameter-laden [`CompiledModel`].
 //!
-//! Compilation is *checked*: before a plan is trusted, it is replayed
-//! against a tape actually recorded from the model being compiled (one
-//! synthetic batch at `B = 2`) and compared node-for-node — op names,
-//! concrete shapes, operand wiring, and the compile-time attributes the
-//! executor will apply (scalars bit-for-bit, permute axes, slice bounds,
-//! gather indices). Any disagreement aborts compilation instead of
-//! producing an executor that silently diverges from the tape.
+//! The plan is lifted from the very model being compiled
+//! (`lip_analyze::plan_forward_loss` records it at `B = 1` and `B = 2` and
+//! checks the lift for every `B`), so the executor applies exactly the
+//! scalars, axes, slice bounds and gather channels the model recorded.
+//! Compilation then schedules the plan, proves the schedule sound
+//! statically, rejects any op the executor cannot lower, and packs the
+//! model's parameters in step order.
 
 use lip_analyze::{
-    eval_shape, plan_forward_loss, synthetic_batch, verify_schedule, InferenceSchedule, NodeAttr,
-    PlanError, Storage,
+    plan_forward_loss, verify_schedule, InferenceSchedule, NodeAttr, PlanError, PlanVar, Storage,
 };
-use lip_autograd::Op;
 use lip_data::CovariateSpec;
-use lipformer::analysis::record_forward_loss;
-use lipformer::{LiPFormer, LiPFormerConfig};
+use lipformer::{Forecaster, LiPFormer, LiPFormerConfig};
 
 /// Why a model could not be compiled.
 #[derive(Debug)]
 pub enum CompileError {
-    /// The symbolic planner or scheduler rejected the configuration.
+    /// The plan lift or the scheduler rejected the model.
     Plan(PlanError),
     /// The model or plan uses something the executor cannot lower.
     Unsupported(String),
-    /// The plan disagreed with a tape recorded from the same model.
-    Parity(String),
     /// The static verifier (`lip_analyze::verify_schedule`) found the
     /// schedule unsound — each string is one `[class] message` finding.
     Invariant(Vec<String>),
@@ -36,7 +31,6 @@ impl std::fmt::Display for CompileError {
         match self {
             CompileError::Plan(e) => write!(f, "compile: {e}"),
             CompileError::Unsupported(m) => write!(f, "compile: unsupported: {m}"),
-            CompileError::Parity(m) => write!(f, "compile: plan/tape parity: {m}"),
             CompileError::Invariant(findings) => {
                 write!(f, "compile: schedule failed static verification: {}", findings.join("; "))
             }
@@ -93,57 +87,6 @@ impl CompiledModel {
     }
 }
 
-fn check_attrs(
-    i: usize,
-    op: &Op,
-    attr: &NodeAttr,
-    batch_categorical: Option<&Vec<Vec<usize>>>,
-    gather_channel: &mut usize,
-) -> Result<(), CompileError> {
-    let parity = |m: String| Err(CompileError::Parity(format!("node {i}: {m}")));
-    match (op, attr) {
-        // the runtime Op drops AddScalar's immediate; the plan is the
-        // authoritative carrier, so there is nothing to cross-check
-        (Op::AddScalar(_), NodeAttr::Scalar(_)) => {}
-        (Op::MulScalar(_, s), NodeAttr::Scalar(p))
-            if s.to_bits() != p.to_bits() => {
-                return parity(format!("MulScalar planned {p} but recorded {s}"));
-            }
-        (Op::Permute(_, axes), NodeAttr::Axes(p))
-            if axes != p => {
-                return parity(format!("Permute planned {p:?} but recorded {axes:?}"));
-            }
-        (Op::SliceAxis(_, ax, s, e), NodeAttr::Slice { axis, start, end })
-            if (ax, s, e) != (axis, start, end) => {
-                return parity(format!(
-                    "SliceAxis planned ({axis}, {start}, {end}) but recorded ({ax}, {s}, {e})"
-                ));
-            }
-        (Op::Concat(_, ax), NodeAttr::Axis(a)) | (Op::SumAxis(_, ax), NodeAttr::Axis(a))
-        | (Op::MeanAxis(_, ax), NodeAttr::Axis(a))
-            if ax != a => {
-                return parity(format!("{} planned axis {a} but recorded {ax}", op.name()));
-            }
-        (Op::GatherRows(_, indices), _) => {
-            // the executor will feed batch.cov_categorical[channel] — the
-            // recorded tape must have gathered with exactly those indices
-            let expected = batch_categorical
-                .and_then(|chans| chans.get(*gather_channel))
-                .ok_or_else(|| {
-                    CompileError::Parity(format!(
-                        "node {i}: GatherRows channel {gather_channel} has no categorical input"
-                    ))
-                })?;
-            if indices != expected {
-                return parity(format!("GatherRows channel {gather_channel} index mismatch"));
-            }
-            *gather_channel += 1;
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
 /// Compile `model` for tapeless inference under `spec` (the same covariate
 /// spec the model was constructed with). Elementwise chains are fused (see
 /// `lip_analyze::schedule`); use [`compile_inference_unfused`] to get the
@@ -172,11 +115,11 @@ fn compile_with(
 ) -> Result<CompiledModel, CompileError> {
     if !model.has_enriching() {
         return Err(CompileError::Unsupported(
-            "model has no enriching module; the plan always includes the covariate guide".into(),
+            "model has no enriching module; the executor runs the covariate guide".into(),
         ));
     }
     let config = model.config().clone();
-    let plan = plan_forward_loss(&config, spec, false)?;
+    let plan = plan_forward_loss(model, spec, false)?;
     let schedule = if fuse {
         InferenceSchedule::build(&plan)?
     } else {
@@ -222,57 +165,8 @@ fn compile_with(
         }
     }
 
-    // Oracle parity: record a real tape from this very model at B = 2 and
-    // require the plan to match it node-for-node before trusting it.
-    const B: usize = 2;
-    let batch = synthetic_batch(&config, spec, B);
-    let (g, pred, _loss) = record_forward_loss(model, &batch, config.smooth_l1_beta, false, 0);
-    let tape = &plan.tape;
-    if tape.len() != g.len() {
-        return Err(CompileError::Parity(format!(
-            "plan has {} nodes but the tape recorded {}",
-            tape.len(),
-            g.len()
-        )));
-    }
-    if plan.pred.0 != pred.index() {
-        return Err(CompileError::Parity(format!(
-            "plan pred is node {} but the tape's is {}",
-            plan.pred.0,
-            pred.index()
-        )));
-    }
-    let mut gather_channel = 0usize;
-    for (i, node) in tape.nodes().iter().enumerate() {
-        let op = g.op_at(i);
-        if node.op != op.name() {
-            return Err(CompileError::Parity(format!(
-                "node {i} planned as {} but recorded as {}",
-                node.op,
-                op.name()
-            )));
-        }
-        let planned = eval_shape(&node.shape, B);
-        if planned != g.shape_at(i) {
-            return Err(CompileError::Parity(format!(
-                "node {i} ({}) planned shape {planned:?} but recorded {:?}",
-                node.op,
-                g.shape_at(i)
-            )));
-        }
-        let wired: Vec<usize> = op.inputs().iter().map(|v| v.index()).collect();
-        let planned_in: Vec<usize> = node.inputs.iter().map(|v| v.0).collect();
-        if wired != planned_in {
-            return Err(CompileError::Parity(format!(
-                "node {i} ({}) planned inputs {planned_in:?} but recorded {wired:?}",
-                node.op
-            )));
-        }
-        check_attrs(i, op, &node.attr, batch.cov_categorical.as_ref(), &mut gather_channel)?;
-    }
-
-    // Parameters, packed in step (= tape) order: the verified tape holds the
-    // live values of exactly the parameters the schedule references.
+    // Parameters, packed in step (= tape) order: the plan names the model
+    // parameter behind every Param node the schedule references.
     let mut params = Vec::new();
     let mut param_ranges = Vec::with_capacity(schedule.params);
     for step in &schedule.steps {
@@ -283,7 +177,13 @@ fn compile_with(
                     param_ranges.len()
                 )]));
             }
-            let value = g.value(g.var(step.node)).contiguous();
+            let Some(id) = plan.tape.param(PlanVar(step.node)) else {
+                return Err(CompileError::Invariant(vec![format!(
+                    "[arena-bounds] node {} is packed as a parameter but is no Param node",
+                    step.node
+                )]));
+            };
+            let value = model.store().value(id).contiguous();
             let start = params.len();
             params.extend_from_slice(value.data());
             param_ranges.push((start, params.len()));

@@ -1,19 +1,20 @@
 //! # lip-exec
 //!
-//! A plan-compiled inference executor for LiPFormer: compile the symbolic
-//! forward plan (`lip-analyze`) once, then run forward passes with **zero
-//! tape construction and zero refcount traffic** — every intermediate lives
-//! in one flat `Vec<f32>` arena whose layout is derived from the schedule's
-//! liveness analysis.
+//! A plan-compiled inference executor for LiPFormer: compile the forward
+//! plan (`lip-analyze`, lifted from the model's own tape) once, then run
+//! forward passes with **zero tape construction and zero refcount
+//! traffic** — every intermediate lives in one flat `Vec<f32>` arena whose
+//! layout is derived from the schedule's liveness analysis.
 //!
 //! The pipeline is:
 //!
-//! 1. [`compile_inference`] — plan the forward graph symbolically, schedule
-//!    it (DCE, liveness, slot pooling), verify the plan node-for-node
-//!    against a *recorded* tape of the very model being compiled, and pack
-//!    the model's parameters into the arena's parameter segment. The result
-//!    is a [`CompiledModel`] whose shapes are affine in the batch size `B`:
-//!    one compilation serves every `B`.
+//! 1. [`compile_inference`] — lift the forward graph from two recordings of
+//!    the very model being compiled (checked for every `B` by the shared
+//!    shape rules), schedule it (DCE, liveness, slot pooling), verify the
+//!    schedule statically, and pack the model's parameters into the
+//!    arena's parameter segment. The result is a [`CompiledModel`] whose
+//!    shapes are affine in the batch size `B`: one compilation serves
+//!    every `B`.
 //! 2. [`CompiledModel::bind`] — evaluate the symbolic arena layout at a
 //!    concrete `B`: size the single allocation, resolve every step's views,
 //!    strides, scratch packing and liveness spans into a [`BoundModel`].

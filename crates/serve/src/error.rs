@@ -57,8 +57,9 @@ pub enum ServeError {
         /// Underlying `CheckpointError` rendering.
         message: String,
     },
-    /// The checkpoint's configuration failed `lip_analyze::validate_config`
-    /// (rejected before any model is constructed).
+    /// The checkpoint's configuration, or the request's covariate spec,
+    /// failed `lip_analyze::validate_config` (rejected before any model is
+    /// constructed).
     Config {
         /// The planner's typed rejection.
         message: String,

@@ -10,9 +10,10 @@
 //! 1. **Session cache** ([`session`]) — checkpoints load once through
 //!    `lipformer::checkpoint` into a cache keyed by a content hash covering
 //!    the checkpoint's configuration, covariate spec and parameter bytes.
-//!    Every configuration is validated with `lip_analyze::validate_config`
-//!    *before* any model is constructed, so a malformed checkpoint yields a
-//!    typed error response, never a panic. Concurrent first loads coalesce:
+//!    Every configuration and covariate spec is validated with
+//!    `lip_analyze::validate_config` *before* any model is constructed, so
+//!    a malformed checkpoint or spec yields a typed error response, never a
+//!    panic. Concurrent first loads coalesce:
 //!    exactly one thread compiles, the rest block on the same slot.
 //! 2. **Micro-batching** ([`batcher`]) — concurrent requests for the same
 //!    session are coalesced into one `CompiledModel::bind(B)` +

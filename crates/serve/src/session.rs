@@ -5,15 +5,16 @@
 //!
 //! 1. read the checkpoint file and decode it (`checkpoint::load_bytes`) —
 //!    corrupt bundles return typed `CheckpointError`s;
-//! 2. validate the decoded configuration with
-//!    `lip_analyze::validate_config` — the Result-typed mirror of
-//!    `LiPFormerConfig::validate`, so a checkpoint whose header asks for an
-//!    impossible architecture is rejected *before* `LiPFormer::new` (which
-//!    asserts) ever runs;
+//! 2. validate the decoded configuration together with the request's
+//!    covariate spec with `lip_analyze::validate_config` — the
+//!    Result-typed mirror of `LiPFormerConfig::validate` and of the
+//!    model's covariate asserts, so a checkpoint header asking for an
+//!    impossible architecture, or a spec the covariate encoder cannot take
+//!    (no dense input channel, a zero cardinality), is rejected *before*
+//!    `LiPFormer::new` (which asserts) ever runs;
 //! 3. restore parameters (name/shape checked) and compile through
-//!    `lip_exec::compile_inference`, which replays the symbolic plan
-//!    against a recorded tape and the static schedule verifier before
-//!    trusting it.
+//!    `lip_exec::compile_inference`, which lifts the plan from the model's
+//!    own tape and runs the static schedule verifier before trusting it.
 //!
 //! The cache key is the fnv1a mix of the config JSON, the covariate-spec
 //! JSON **and the raw checkpoint bytes** — two checkpoints that share a
@@ -341,9 +342,9 @@ impl SessionCache {
             checkpoint::load_bytes(&raw).map_err(|e| ServeError::Checkpoint {
                 message: format!("checkpoint '{path}': {e}"),
             })?;
-        // typed validation BEFORE LiPFormer::new — a hostile header must
-        // never reach the constructor's asserts
-        lip_analyze::validate_config(&header.config)
+        // typed validation BEFORE LiPFormer::new — a hostile header or
+        // spec must never reach the constructor's asserts
+        lip_analyze::validate_config(&header.config, spec)
             .map_err(|e| ServeError::Config { message: e.to_string() })?;
 
         let config_json = lip_serde::to_string(&header.config);

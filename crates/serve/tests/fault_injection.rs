@@ -14,9 +14,9 @@ use std::time::Duration;
 
 use std::sync::{Arc, Barrier};
 
-use lip_data::DatasetName;
+use lip_data::{CovariateSpec, DatasetName};
 use lip_serve::http::Limits;
-use lip_serve::proto::ForecastWindow;
+use lip_serve::proto::{ForecastRequest, ForecastWindow};
 use lip_serve::{Server, ServerConfig};
 use lip_tensor::Tensor;
 use lipformer::{checkpoint, Forecaster, LiPFormer, LiPFormerConfig};
@@ -326,19 +326,7 @@ fn hostile_checkpoints() {
     // constructor (which would assert) ever runs.
     let mut bad_config = LiPFormerConfig::small(48, 24, b.fx.prep.channels);
     bad_config.patch_len = 7; // 48 % 7 != 0
-    let header = lip_serde::Json::Object(vec![
-        ("version".into(), lip_serde::Json::Num(lip_serde::Num::U(1))),
-        ("config".into(), lip_serde::ToJson::to_json(&bad_config)),
-        ("param_names".into(), lip_serde::Json::Array(vec![])),
-        ("frozen".into(), lip_serde::Json::Array(vec![])),
-    ]);
-    let header_bytes = header.dump().into_bytes();
-    let mut bundle = Vec::new();
-    bundle.extend_from_slice(&0x4C49_5043u32.to_le_bytes()); // "LIPC"
-    bundle.extend_from_slice(&(header_bytes.len() as u32).to_le_bytes());
-    bundle.extend_from_slice(&header_bytes);
-    let evil = dir.join("bad_config.ckpt");
-    std::fs::write(&evil, bundle).expect("write hostile checkpoint");
+    let evil = header_only_checkpoint(&b.fx, "bad_config.ckpt", &bad_config);
     let body = b
         .good_body
         .replace(&b.fx.ckpt.to_string_lossy().to_string(), &evil.to_string_lossy());
@@ -365,6 +353,80 @@ fn hostile_checkpoints() {
     assert_eq!(resp.error_code(), "bad_checkpoint", "body: {}", resp.body);
     assert!(resp.body.contains(&header.param_names[0]), "body: {}", resp.body);
     b.assert_healthy("NaN weight in checkpoint");
+
+    b.server.shutdown();
+}
+
+/// A structurally valid bundle holding only a header with `config` and no
+/// parameters, written next to the fixture's checkpoint as `name`.
+fn header_only_checkpoint(
+    fx: &common::Fixture,
+    name: &str,
+    config: &LiPFormerConfig,
+) -> std::path::PathBuf {
+    let header = lip_serde::Json::Object(vec![
+        ("version".into(), lip_serde::Json::Num(lip_serde::Num::U(1))),
+        ("config".into(), lip_serde::ToJson::to_json(config)),
+        ("param_names".into(), lip_serde::Json::Array(vec![])),
+        ("frozen".into(), lip_serde::Json::Array(vec![])),
+    ]);
+    let header_bytes = header.dump().into_bytes();
+    let mut bundle = Vec::new();
+    bundle.extend_from_slice(&0x4C49_5043u32.to_le_bytes()); // "LIPC"
+    bundle.extend_from_slice(&(header_bytes.len() as u32).to_le_bytes());
+    bundle.extend_from_slice(&header_bytes);
+    let path = fx.ckpt.parent().expect("fixture dir").join(name);
+    std::fs::write(&path, bundle).expect("write hostile checkpoint");
+    path
+}
+
+/// The good request for window 0, sent against `ckpt` under `spec`.
+fn body_with_spec(fx: &common::Fixture, ckpt: &std::path::Path, spec: CovariateSpec) -> String {
+    let w = common::window(fx, 0);
+    lip_serde::to_string(&ForecastRequest {
+        checkpoint: ckpt.to_string_lossy().into_owned(),
+        spec,
+        x: w.x,
+        time_feats: w.time_feats,
+        cov_numerical: w.cov_numerical,
+        cov_categorical: w.cov_categorical,
+        windows: None,
+    })
+}
+
+#[test]
+fn hostile_specs_are_config_errors() {
+    let b = Battery::new("faults-specs");
+    let addr = b.server.addr();
+    let spec = |numerical, cardinalities: Vec<usize>, time_features| CovariateSpec {
+        numerical,
+        cardinalities,
+        time_features,
+    };
+
+    // the request's spec shapes the model: no covariate channel at all, a
+    // category with no values, or categories without the numerical input
+    // the encoder reads would trip the model's asserts
+    for (scenario, hostile) in [
+        ("spec without covariate channels", spec(0, vec![], 0)),
+        ("spec with a zero cardinality", spec(2, vec![0], 4)),
+        ("spec with categories only", spec(0, vec![5], 4)),
+    ] {
+        let resp = common::post(addr, "/forecast", &body_with_spec(&b.fx, &b.fx.ckpt, hostile));
+        assert_eq!(resp.status, 422, "{scenario}: {}", resp.body);
+        assert_eq!(resp.error_code(), "bad_config", "{scenario}: {}", resp.body);
+        b.assert_healthy(scenario);
+    }
+
+    // a header with zero-width category embeddings, served under a spec
+    // that has categorical covariates
+    let mut no_embed = b.fx.config.clone();
+    no_embed.categorical_embed = 0;
+    let ckpt = header_only_checkpoint(&b.fx, "no_embed.ckpt", &no_embed);
+    let resp = common::post(addr, "/forecast", &body_with_spec(&b.fx, &ckpt, spec(2, vec![5], 4)));
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "bad_config", "body: {}", resp.body);
+    b.assert_healthy("categorical_embed 0 with categorical covariates");
 
     b.server.shutdown();
 }

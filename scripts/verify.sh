@@ -28,13 +28,14 @@ echo "==> cargo test --release -q --offline -p lip-tensor (the vectorized matmul
 echo "    tiles exist only in optimized builds; the passes above are debug builds)"
 cargo test --release -q --offline -p lip-tensor
 
-echo "==> lip-analyze --lint --check-model (static graph gate)"
-cargo run -q --release --offline -p lip-analyze -- --lint --check-model
+echo "==> lip-analyze --plan --lint --check-model (static graph gate: lift each"
+echo "    benchmark model's plan from its own tape, then the tape checks)"
+cargo run -q --release --offline -p lip-analyze -- --plan --lint --check-model
 
 echo "==> lip-analyze --verify-plan (static schedule verifier: def-before-use,"
 echo "    liveness, symbolic arena bounds, fusion legality, partition proof,"
 echo "    kernel-source audit, and every registered stage composition swept"
-echo "    through plan/runtime parity + fused/unfused schedule verification"
+echo "    through the plan lift + fused/unfused schedule verification"
 echo "    — exit 1 on any finding)"
 cargo run -q --release --offline -p lip-analyze -- --verify-plan
 

@@ -1,5 +1,6 @@
-//! Integration tests for `lip-analyze`: the symbolic plan must match the
-//! recorded runtime graphs node-for-node across every synthetic benchmark,
+//! Integration tests for `lip-analyze`: the plan lifted from two synthetic
+//! recordings must match tapes recorded on real data at another batch size
+//! node-for-node across every synthetic benchmark,
 //! planted defects (dead params, detached subgraphs, reused dropout masks,
 //! NaN injections) must be caught, and inconsistent configurations must be
 //! rejected before any tensor kernel runs.
@@ -70,7 +71,7 @@ fn plan_matches_runtime_across_all_nine_benchmarks() {
         });
         assert_eq!(summary.macs, g.macs(), "{label}: recomputed MACs");
 
-        let plan = plan_forward_loss(&config, &prep.spec, true).unwrap();
+        let plan = plan_forward_loss(&model, &prep.spec, true).unwrap();
         assert_parity(&plan.tape, &g, B, &label);
         assert_eq!(plan.pred.0, pred.index(), "{label}: pred node index");
         assert_eq!(plan.loss.0, loss.index(), "{label}: loss node index");
@@ -80,7 +81,7 @@ fn plan_matches_runtime_across_all_nine_benchmarks() {
         validate_graph(&gc).unwrap_or_else(|v| {
             panic!("{label}: recorded tape has violations: {v:?}")
         });
-        let cplan = plan_contrastive(&config, &prep.spec).unwrap();
+        let cplan = plan_contrastive(&model, &prep.spec).unwrap();
         assert_parity(&cplan.tape, &gc, B, &label);
         assert_eq!(cplan.loss.0, closs.index(), "{label}: loss node index");
     }
@@ -112,7 +113,7 @@ fn plan_matches_runtime_for_every_architecture_variant() {
             validate_graph(&g).unwrap_or_else(|v| {
                 panic!("{label}(training={training}): violations: {v:?}")
             });
-            let plan = plan_forward_loss(config, &spec, training).unwrap();
+            let plan = plan_forward_loss(&model, &spec, training).unwrap();
             assert_parity(&plan.tape, &g, B, &format!("{label}(training={training})"));
         }
     }
@@ -140,17 +141,37 @@ fn check_model_is_clean_for_all_nine_benchmarks() {
 fn off_by_one_patch_len_is_rejected_before_any_kernel() {
     let mut config = LiPFormerConfig::small(48, 24, 2);
     config.patch_len += 1; // 48 % 7 != 0 — the runtime would panic in validate()
-    let err = validate_config(&config).unwrap_err();
+    let spec = implicit_spec();
+    let err = validate_config(&config, &spec).unwrap_err();
     assert_eq!(err.stage, "config");
     assert!(err.message.contains("evenly divide"), "{}", err.message);
 
     // The harness surfaces the same rejection as a finding, without ever
     // constructing the model (no tensor is allocated, nothing panics).
-    let spec = implicit_spec();
     let good = LiPFormerConfig::small(48, 24, 2);
     let batch = synthetic_batch(&good, &spec, 2);
     let report = check_model(&config, &spec, &batch, "bad-patch");
     assert!(!report.clean());
+    assert!(
+        report.findings[0].contains("plan rejected at config"),
+        "{:?}",
+        report.findings
+    );
+}
+
+#[test]
+fn zero_channel_spec_is_a_config_finding_not_a_panic() {
+    // check_model builds the model to lift its plans; a spec the covariate
+    // encoder would assert on must be rejected before that
+    let config = LiPFormerConfig::small(48, 24, 2);
+    let spec = CovariateSpec {
+        numerical: 0,
+        cardinalities: vec![],
+        time_features: 0,
+    };
+    let batch = synthetic_batch(&config, &spec, 2);
+    let report = check_model(&config, &spec, &batch, "no-covariates");
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert!(
         report.findings[0].contains("plan rejected at config"),
         "{:?}",

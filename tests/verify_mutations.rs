@@ -13,7 +13,7 @@ use lip_analyze::verify::{
 };
 use lip_analyze::{InferenceSchedule, Storage, SymDim};
 use lip_data::CovariateSpec;
-use lipformer::LiPFormerConfig;
+use lipformer::{LiPFormer, LiPFormerConfig};
 
 fn implicit_spec() -> CovariateSpec {
     CovariateSpec {
@@ -26,7 +26,8 @@ fn implicit_spec() -> CovariateSpec {
 /// A clean plan + fused schedule pair the mutations start from.
 fn clean_pair() -> (lip_analyze::ForwardPlan, InferenceSchedule) {
     let config = LiPFormerConfig::small(48, 24, 3);
-    let plan = plan_forward_loss(&config, &implicit_spec(), false).unwrap();
+    let model = LiPFormer::new(config, &implicit_spec(), 0);
+    let plan = plan_forward_loss(&model, &implicit_spec(), false).unwrap();
     let sched = InferenceSchedule::build(&plan).unwrap();
     assert!(
         verify_schedule(&plan, &sched).is_empty(),
