@@ -63,26 +63,41 @@ impl BatchContract {
             return Err(format!("x must be rank 3, got {:?}", batch.x.shape()));
         }
         let b = batch.x.shape()[0];
-        let expect = |name: &str, got: &[usize], want: &[usize]| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!("{name} has shape {got:?}, contract wants {want:?}"))
-            }
-        };
-        expect("x", batch.x.shape(), &[b, self.seq_len, self.channels])?;
-        expect("y", batch.y.shape(), &[b, self.pred_len, self.channels])?;
-        expect(
+        Self::check_shape("x", batch.x.shape(), &[b, self.seq_len, self.channels])?;
+        Self::check_shape("y", batch.y.shape(), &[b, self.pred_len, self.channels])?;
+        Self::check_shape(
             "time_feats",
             batch.time_feats.shape(),
             &[b, self.pred_len, self.time_features],
         )?;
-        match (&batch.cov_numerical, self.numerical) {
-            (None, 0) => {}
-            (None, w) => return Err(format!("missing numerical covariates of width {w}")),
-            (Some(t), w) => expect("cov_numerical", t.shape(), &[b, self.pred_len, w])?,
+        self.check_numerical(b, batch.cov_numerical.as_ref().map(Tensor::shape))?;
+        self.check_categorical(b, batch.cov_categorical.as_deref().unwrap_or(&[]))
+    }
+
+    /// The rule every dense part of a batch or window is held to: its
+    /// `got` shape must be the contract's `want`.
+    pub fn check_shape(name: &str, got: &[usize], want: &[usize]) -> Result<(), String> {
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("{name} has shape {got:?}, contract wants {want:?}"))
         }
-        let cats = batch.cov_categorical.as_deref().unwrap_or(&[]);
+    }
+
+    /// Numerical covariates of shape `got` (`None` when absent) for `b`
+    /// windows: required exactly when the contract has a numerical width.
+    pub fn check_numerical(&self, b: usize, got: Option<&[usize]>) -> Result<(), String> {
+        match (got, self.numerical) {
+            (None, 0) => Ok(()),
+            (None, w) => Err(format!("missing numerical covariates of width {w}")),
+            (Some(shape), w) => Self::check_shape("cov_numerical", shape, &[b, self.pred_len, w]),
+        }
+    }
+
+    /// Categorical covariate codes for `b` windows, one flat code vector
+    /// per channel: the channel count, each channel's length and every
+    /// code's range.
+    pub fn check_categorical(&self, b: usize, cats: &[Vec<usize>]) -> Result<(), String> {
         if cats.len() != self.cardinalities.len() {
             return Err(format!(
                 "{} categorical covariate channels, contract wants {}",

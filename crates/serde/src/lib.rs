@@ -1,8 +1,8 @@
 //! # lip-serde
 //!
 //! Minimal, dependency-free JSON for the workspace: checkpoint headers,
-//! layer/config round-trips and the `results/*.json` tables all go through
-//! this crate instead of `serde`/`serde_json`.
+//! layer/config round-trips, the `results/*.json` tables and the serving
+//! protocol all go through this crate instead of `serde`/`serde_json`.
 //!
 //! Three pieces:
 //!
@@ -13,6 +13,28 @@
 //!   plain named-field structs and unit-variant enums,
 //! * [`to_string`] / [`to_string_pretty`] / [`to_vec`] / [`from_str`] /
 //!   [`from_slice`] — the `serde_json`-shaped entry points.
+//!
+//! One grammar reads everything: [`Parser`] builds [`Json`] trees
+//! ([`parse`]) and drives the typed decoders. [`from_str`] and
+//! [`from_slice`] call [`FromJson::from_text`], which reads numbers,
+//! strings, `bool`s, `Vec`s, `Option`s and [`json_struct!`] types straight
+//! from the text and, by default, decodes any other type through a
+//! [`Json`] tree. [`to_string`] and [`to_vec`] call [`ToJson::write_json`],
+//! which writes the same types straight into the output and, by default,
+//! renders any other type's tree. Both paths give the tree's exact bytes
+//! and values:
+//!
+//! * a number's value is computed in the scan that checks its syntax:
+//!   integers that fit are `u64`/`i64` (so `-0` is the integer 0), and
+//!   everything else is the correctly rounded `f64`, by Clinger's exact
+//!   fast path for up to 19 significant digits, a mantissa of at most 2^53
+//!   and a decimal exponent within ±22, and by `str::parse` otherwise;
+//! * an `f32` decodes through that `f64` (`as f32`), and writes as its
+//!   shortest round-trip decimal (`{:?}`);
+//! * a syntax error anywhere in the document wins over a decode error;
+//!   of two decode errors, the first in document order is reported, and a
+//!   missing field is found at the end of its object. Of duplicate object
+//!   keys the first wins, as in [`Json::get`].
 //!
 //! Intentional limits (documented, not accidental): numbers are `u64`/`i64`/
 //! `f64` (no arbitrary precision), non-finite floats serialize as `null`,
@@ -25,7 +47,7 @@
 mod parse;
 mod write;
 
-pub use parse::parse;
+pub use parse::{parse, Kind, Parser};
 
 /// An owned JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +71,39 @@ pub enum Num {
     F(f64),
 }
 
+impl Num {
+    /// The value as an `f64` (integers beyond 2^53 round).
+    pub(crate) fn as_f64(self) -> f64 {
+        match self {
+            Num::F(f) => f,
+            Num::U(u) => u as f64,
+            Num::I(i) => i as f64,
+        }
+    }
+
+    /// The value as a `u64`, if it is a non-negative integer (a float only
+    /// below 2^53, where it is exact).
+    pub(crate) fn as_u64(self) -> Option<u64> {
+        match self {
+            Num::U(u) => Some(u),
+            Num::I(i) if i >= 0 => Some(i as u64),
+            Num::F(f) if f >= 0.0 && f.fract() == 0.0 && f < 2f64.powi(53) => Some(f as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as an `i64`, if it is an integer in range (a float only
+    /// below 2^53 in magnitude).
+    pub(crate) fn as_i64(self) -> Option<i64> {
+        match self {
+            Num::I(i) => Some(i),
+            Num::U(u) if u <= i64::MAX as u64 => Some(u as i64),
+            Num::F(f) if f.fract() == 0.0 && f.abs() < 2f64.powi(53) => Some(f as i64),
+            _ => None,
+        }
+    }
+}
+
 /// What kind of failure a [`JsonError`] is, for callers that answer the
 /// kinds differently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,12 +115,18 @@ pub enum JsonErrorKind {
     NonFinite,
 }
 
-/// Decode / encode failure, optionally carrying the 1-based line/column
-/// position in the source text (parse errors attach it; conversion errors
-/// are position-less) and the decode path to the offending value
-/// (conversion errors record it as they unwind: `windows[1].x[3][0]`).
+/// Decode / encode failure. A syntax error carries the 1-based line/column
+/// position in the source text and no decode path; a decode error (a type
+/// mismatch, a missing field, a number out of range) is position-less and
+/// records the decode path to the offending value as it unwinds
+/// (`windows[1].x[3][0]`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
+pub struct JsonError(Box<ErrorDetail>);
+
+/// Boxed so a `Result` carrying a `JsonError` stays one pointer wide on
+/// the decode paths, where errors are rare.
+#[derive(Debug, Clone, PartialEq)]
+struct ErrorDetail {
     msg: String,
     pos: Option<(usize, usize)>,
     kind: JsonErrorKind,
@@ -76,36 +137,47 @@ pub struct JsonError {
 impl JsonError {
     /// Position-less error (type mismatches, missing fields).
     pub fn new(msg: impl Into<String>) -> Self {
-        JsonError {
+        JsonError(Box::new(ErrorDetail {
             msg: msg.into(),
             pos: None,
             kind: JsonErrorKind::Invalid,
             path: String::new(),
-        }
+        }))
     }
 
     /// Error anchored at a source position (1-based line and column).
     pub fn at(msg: impl Into<String>, line: usize, column: usize) -> Self {
-        JsonError {
-            pos: Some((line, column)),
-            ..JsonError::new(msg)
-        }
+        let mut e = JsonError::new(msg);
+        e.0.pos = Some((line, column));
+        e
+    }
+
+    /// The type mismatch `expected {wanted}, found {found}`.
+    #[cold]
+    pub fn expected(wanted: &str, found: Kind) -> Self {
+        JsonError::new(format!("expected {wanted}, found {}", found.name()))
+    }
+
+    /// A required object field `key` that is absent.
+    #[cold]
+    pub fn missing(key: &str) -> Self {
+        JsonError::new(format!("missing field '{key}'"))
     }
 
     /// The source position `(line, column)`, if known.
     pub fn position(&self) -> Option<(usize, usize)> {
-        self.pos
+        self.0.pos
     }
 
     /// What kind of failure this is.
     pub fn kind(&self) -> JsonErrorKind {
-        self.kind
+        self.0.kind
     }
 
     /// Where in the document the failure sits, as `windows[1].x[3][0]`
     /// (empty at the root).
     pub fn path(&self) -> &str {
-        &self.path
+        &self.0.path
     }
 
     /// Record that this error arose inside object field `key`. Decoders
@@ -117,22 +189,26 @@ impl JsonError {
 
     /// Record that this error arose inside array element `index`.
     #[cold]
-    fn in_index(self, index: usize) -> Self {
+    pub fn in_index(self, index: usize) -> Self {
         self.inside(format!("[{index}]"))
     }
 
     /// Prepend one path segment; a key that precedes another key gets a `.`.
+    /// Syntax errors keep their position instead of a path.
     fn inside(mut self, mut segment: String) -> Self {
-        if self.path.starts_with(|c: char| c != '[') {
+        if self.0.pos.is_some() {
+            return self;
+        }
+        if self.0.path.starts_with(|c: char| c != '[') {
             segment.push('.');
         }
-        self.path.insert_str(0, &segment);
+        self.0.path.insert_str(0, &segment);
         self
     }
 
     /// Prefix the message with surrounding context, keeping the position.
     pub fn with_context(mut self, context: impl std::fmt::Display) -> Self {
-        self.msg = format!("{context}: {}", self.msg);
+        self.0.msg = format!("{context}: {}", self.0.msg);
         self
     }
 }
@@ -140,11 +216,11 @@ impl JsonError {
 impl std::fmt::Display for JsonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "json error: ")?;
-        if !self.path.is_empty() {
-            write!(f, "{}: ", self.path)?;
+        if !self.0.path.is_empty() {
+            write!(f, "{}: ", self.0.path)?;
         }
-        write!(f, "{}", self.msg)?;
-        if let Some((line, column)) = self.pos {
+        write!(f, "{}", self.0.msg)?;
+        if let Some((line, column)) = self.0.pos {
             write!(f, " at line {line}, column {column}")?;
         }
         Ok(())
@@ -154,7 +230,8 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// Object lookup by key (None on non-objects or missing keys).
+    /// Object lookup by key (None on non-objects or missing keys; of
+    /// duplicate keys the first wins).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -164,66 +241,72 @@ impl Json {
 
     /// Decode a required object field.
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
-        let v = self
-            .get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field '{key}'")))?;
+        let v = self.get(key).ok_or_else(|| JsonError::missing(key))?;
         T::from_json(v).map_err(|e| e.in_field(key))
+    }
+
+    /// The kind of this value, as [`Parser::kind`] reports it from text.
+    pub(crate) fn kind(&self) -> Kind {
+        match self {
+            Json::Null => Kind::Null,
+            Json::Bool(_) => Kind::Bool,
+            Json::Num(_) => Kind::Number,
+            Json::Str(_) => Kind::String,
+            Json::Array(_) => Kind::Array,
+            Json::Object(_) => Kind::Object,
+        }
     }
 
     pub fn as_bool(&self) -> Result<bool, JsonError> {
         match self {
             Json::Bool(b) => Ok(*b),
-            other => Err(type_err("bool", other)),
+            other => Err(JsonError::expected("bool", other.kind())),
         }
     }
 
     pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
             Json::Str(s) => Ok(s),
-            other => Err(type_err("string", other)),
+            other => Err(JsonError::expected("string", other.kind())),
         }
     }
 
     pub fn as_array(&self) -> Result<&[Json], JsonError> {
         match self {
             Json::Array(v) => Ok(v),
-            other => Err(type_err("array", other)),
+            other => Err(JsonError::expected("array", other.kind())),
         }
     }
 
     pub fn as_object(&self) -> Result<&[(String, Json)], JsonError> {
         match self {
             Json::Object(v) => Ok(v),
-            other => Err(type_err("object", other)),
+            other => Err(JsonError::expected("object", other.kind())),
         }
     }
 
     pub fn as_f64(&self) -> Result<f64, JsonError> {
-        match self {
-            Json::Num(Num::F(f)) => Ok(*f),
-            Json::Num(Num::U(u)) => Ok(*u as f64),
-            Json::Num(Num::I(i)) => Ok(*i as f64),
-            other => Err(type_err("number", other)),
-        }
+        self.num("number").map(Num::as_f64)
     }
 
     pub fn as_u64(&self) -> Result<u64, JsonError> {
-        match self {
-            Json::Num(Num::U(u)) => Ok(*u),
-            Json::Num(Num::I(i)) if *i >= 0 => Ok(*i as u64),
-            Json::Num(Num::F(f)) if *f >= 0.0 && f.fract() == 0.0 && *f < 2f64.powi(53) => {
-                Ok(*f as u64)
-            }
-            other => Err(type_err("unsigned integer", other)),
-        }
+        const WANTED: &str = "unsigned integer";
+        self.num(WANTED)?
+            .as_u64()
+            .ok_or_else(|| JsonError::expected(WANTED, Kind::Number))
     }
 
     pub fn as_i64(&self) -> Result<i64, JsonError> {
+        const WANTED: &str = "integer";
+        self.num(WANTED)?
+            .as_i64()
+            .ok_or_else(|| JsonError::expected(WANTED, Kind::Number))
+    }
+
+    fn num(&self, wanted: &str) -> Result<Num, JsonError> {
         match self {
-            Json::Num(Num::I(i)) => Ok(*i),
-            Json::Num(Num::U(u)) if *u <= i64::MAX as u64 => Ok(*u as i64),
-            Json::Num(Num::F(f)) if f.fract() == 0.0 && f.abs() < 2f64.powi(53) => Ok(*f as i64),
-            other => Err(type_err("integer", other)),
+            Json::Num(n) => Ok(*n),
+            other => Err(JsonError::expected(wanted, other.kind())),
         }
     }
 
@@ -242,26 +325,45 @@ impl Json {
     }
 }
 
-fn type_err(wanted: &str, got: &Json) -> JsonError {
-    let kind = match got {
-        Json::Null => "null",
-        Json::Bool(_) => "bool",
-        Json::Num(_) => "number",
-        Json::Str(_) => "string",
-        Json::Array(_) => "array",
-        Json::Object(_) => "object",
-    };
-    JsonError::new(format!("expected {wanted}, found {kind}"))
-}
-
 /// Encode `self` as a [`Json`] value.
 pub trait ToJson {
     fn to_json(&self) -> Json;
+
+    /// Append `self`'s compact encoding to `out`: exactly the bytes of
+    /// `self.to_json().dump()`. The default builds that tree; numbers,
+    /// strings, `Vec`s, `Option`s and [`json_struct!`] types write
+    /// directly.
+    fn write_json(&self, out: &mut String) {
+        write::write_compact(&self.to_json(), out);
+    }
 }
 
 /// Decode `Self` from a [`Json`] value.
 pub trait FromJson: Sized {
     fn from_json(v: &Json) -> Result<Self, JsonError>;
+
+    /// Read `Self` from the next value in `p`. The value equals
+    /// `Self::from_json(&p.value()?)`, and so does the error when the
+    /// value holds one fault. The default builds that tree; numbers,
+    /// strings, `Vec`s, `Option`s and [`json_struct!`] types read
+    /// directly.
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        Self::from_json(&p.value()?)
+    }
+}
+
+/// Read the next value in `p` as a number, or the type mismatch naming
+/// `wanted`.
+fn number(p: &mut Parser<'_>, wanted: &str) -> Result<Num, JsonError> {
+    match p.kind()? {
+        Kind::Number => p.number(),
+        other => Err(JsonError::expected(wanted, other)),
+    }
+}
+
+/// `w` as a `T`, or the range error naming `ty`.
+fn fit<T: TryFrom<W>, W: Copy + std::fmt::Display>(w: W, ty: &str) -> Result<T, JsonError> {
+    T::try_from(w).map_err(|_| JsonError::new(format!("{w} out of range for {ty}")))
 }
 
 // ---------------------------------------------------------------- primitives
@@ -270,11 +372,19 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_compact(self, out);
+    }
 }
 
 impl FromJson for Json {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(v.clone())
+    }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        p.value()
     }
 }
 
@@ -282,11 +392,22 @@ impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_bool()
+    }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        match p.kind()? {
+            Kind::Bool => p.boolean(),
+            other => Err(JsonError::expected("bool", other)),
+        }
     }
 }
 
@@ -294,11 +415,19 @@ impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_string(self, out);
+    }
 }
 
 impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_string(self, out);
     }
 }
 
@@ -306,18 +435,31 @@ impl FromJson for String {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_str().map(str::to_string)
     }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        match p.kind()? {
+            Kind::String => p.string(),
+            other => Err(JsonError::expected("string", other)),
+        }
+    }
 }
 
 macro_rules! json_uint {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json { Json::Num(Num::U(*self as u64)) }
+            fn write_json(&self, out: &mut String) { write::write_num(Num::U(*self as u64), out) }
         }
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let u = v.as_u64()?;
-                <$t>::try_from(u).map_err(|_| JsonError::new(
-                    format!("{u} out of range for {}", stringify!($t))))
+                fit(v.as_u64()?, stringify!($t))
+            }
+            fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+                const WANTED: &str = "unsigned integer";
+                let u = number(p, WANTED)?
+                    .as_u64()
+                    .ok_or_else(|| JsonError::expected(WANTED, Kind::Number))?;
+                fit(u, stringify!($t))
             }
         }
     )*};
@@ -328,12 +470,18 @@ macro_rules! json_int {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json { Json::Num(Num::I(*self as i64)) }
+            fn write_json(&self, out: &mut String) { write::write_num(Num::I(*self as i64), out) }
         }
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let i = v.as_i64()?;
-                <$t>::try_from(i).map_err(|_| JsonError::new(
-                    format!("{i} out of range for {}", stringify!($t))))
+                fit(v.as_i64()?, stringify!($t))
+            }
+            fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+                const WANTED: &str = "integer";
+                let i = number(p, WANTED)?
+                    .as_i64()
+                    .ok_or_else(|| JsonError::expected(WANTED, Kind::Number))?;
+                fit(i, stringify!($t))
             }
         }
     )*};
@@ -344,11 +492,19 @@ impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(Num::F(*self))
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_num(Num::F(*self), out);
+    }
 }
 
 impl FromJson for f64 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_f64()
+    }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        number(p, "number").map(Num::as_f64)
     }
 }
 
@@ -360,38 +516,64 @@ impl ToJson for f32 {
         let shortest: f64 = format!("{self:?}").parse().unwrap_or(f64::from(*self));
         Json::Num(Num::F(shortest))
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_f32(*self, out);
+    }
 }
 
 impl FromJson for f32 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let wide = v.as_f64()?;
-        let narrow = wide as f32;
-        if narrow.is_finite() {
-            Ok(narrow)
-        } else {
-            Err(not_finite_f32(wide))
-        }
+        narrow(v.as_f64()?)
+    }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        narrow(number(p, "number")?.as_f64())
+    }
+}
+
+/// An `f64` as the `f32` it rounds to, if that is finite.
+fn narrow(wide: f64) -> Result<f32, JsonError> {
+    let narrow = wide as f32;
+    if narrow.is_finite() {
+        Ok(narrow)
+    } else {
+        Err(not_finite_f32(wide))
     }
 }
 
 /// Kept out of line so the check costs the decode loop one branch.
 #[cold]
 fn not_finite_f32(wide: f64) -> JsonError {
-    JsonError {
-        kind: JsonErrorKind::NonFinite,
-        ..JsonError::new(format!("{wide:e} is not a finite f32"))
-    }
+    let mut e = JsonError::new(format!("{wide:e} is not a finite f32"));
+    e.0.kind = JsonErrorKind::NonFinite;
+    e
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
+        self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Array(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -403,6 +585,15 @@ impl<T: FromJson> FromJson for Vec<T> {
             .map(|(i, item)| T::from_json(item).map_err(|e| e.in_index(i)))
             .collect()
     }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        let mut items = Vec::new();
+        p.elements(|p, i| {
+            items.push(T::from_text(p).map_err(|e| e.in_index(i))?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
@@ -410,6 +601,13 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -421,11 +619,23 @@ impl<T: FromJson> FromJson for Option<T> {
             other => T::from_json(other).map(Some),
         }
     }
+
+    fn from_text(p: &mut Parser<'_>) -> Result<Self, JsonError> {
+        if p.kind()? == Kind::Null {
+            p.skip().map(|()| None)
+        } else {
+            T::from_text(p).map(Some)
+        }
+    }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -433,7 +643,9 @@ impl<T: ToJson + ?Sized> ToJson for &T {
 
 /// Compact encoding, `serde_json::to_string`-shaped.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().dump()
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 /// Pretty (2-space indented) encoding.
@@ -448,19 +660,52 @@ pub fn to_vec<T: ToJson + ?Sized>(value: &T) -> Vec<u8> {
 
 /// Parse and decode from a `&str`.
 pub fn from_str<T: FromJson>(s: &str) -> Result<T, JsonError> {
-    T::from_json(&parse(s)?)
+    read_str(s, T::from_text)
 }
 
 /// Parse and decode from UTF-8 bytes.
 pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T, JsonError> {
+    from_slice_with(bytes, T::from_text)
+}
+
+/// Decode the one document in `bytes` with `read`, for decoders that are
+/// not a [`FromJson`] type (a request walked key by key). `read` consumes
+/// one value; trailing text is an error, and a syntax error anywhere in
+/// the document is reported in place of any decode error `read` returns.
+pub fn from_slice_with<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut Parser<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
     let s = std::str::from_utf8(bytes).map_err(|e| JsonError::new(format!("not utf-8: {e}")))?;
-    from_str(s)
+    read_str(s, read)
+}
+
+fn read_str<T>(
+    s: &str,
+    read: impl FnOnce(&mut Parser<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let mut p = Parser::new(s);
+    let read = read(&mut p).and_then(|v| p.finish().map(|()| v));
+    read.map_err(|e| match e.position() {
+        // the first syntax error in document order, as a tree parse gives
+        Some(_) => e,
+        None => first_syntax_error(s).unwrap_or(e),
+    })
+}
+
+/// The syntax error a tree parse of `s` would report, if any.
+#[cold]
+fn first_syntax_error(s: &str) -> Option<JsonError> {
+    let mut p = Parser::new(s);
+    p.skip().and_then(|()| p.finish()).err()
 }
 
 // ------------------------------------------------------------------- macros
 
 /// Generate [`ToJson`] + [`FromJson`] for a named-field struct. Decoding
-/// ignores unknown keys (forward compatible) and requires every listed field.
+/// ignores unknown keys (forward compatible) and requires every listed
+/// field; of duplicate keys the first wins. Both directions also get the
+/// direct text paths ([`ToJson::write_json`], [`FromJson::from_text`]).
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
@@ -481,10 +726,41 @@ macro_rules! json_struct {
                        $crate::ToJson::to_json(&self.$field)),)+
                 ])
             }
+
+            fn write_json(&self, out: &mut String) {
+                let open = out.len();
+                $(
+                    out.push(',');
+                    $crate::ToJson::write_json(stringify!($field), out);
+                    out.push(':');
+                    $crate::ToJson::write_json(&self.$field, out);
+                )+
+                // the first separator opens the object
+                out.replace_range(open..=open, "{");
+                out.push('}');
+            }
         }
         impl $crate::FromJson for $name {
             fn from_json(v: &$crate::Json) -> Result<Self, $crate::JsonError> {
                 Ok(Self { $($field: v.field(stringify!($field))?,)+ })
+            }
+
+            fn from_text(p: &mut $crate::Parser<'_>) -> Result<Self, $crate::JsonError> {
+                $(let mut $field = None;)+
+                p.members(|p, key| {
+                    match key {
+                        $(stringify!($field) if $field.is_none() => {
+                            $field = Some($crate::FromJson::from_text(p)
+                                .map_err(|e: $crate::JsonError| e.in_field(key))?);
+                        })+
+                        _ => p.skip()?,
+                    }
+                    Ok(())
+                })?;
+                Ok(Self {
+                    $($field: $field
+                        .ok_or_else(|| $crate::JsonError::missing(stringify!($field)))?,)+
+                })
             }
         }
     };
@@ -599,6 +875,65 @@ mod tests {
     fn struct_decode_reports_missing_field() {
         let e = from_str::<Demo>(r#"{"n":1}"#).unwrap_err();
         assert!(e.to_string().contains("missing field 'name'"), "{e}");
+    }
+
+    /// The decode `from_str` did before it read text directly.
+    fn tree_decode<T: FromJson>(s: &str) -> Result<T, JsonError> {
+        T::from_json(&parse(s)?)
+    }
+
+    #[test]
+    fn text_decode_keeps_the_tree_decode_rules() {
+        // one fault: the same error, position and path as the tree decode
+        for doc in [
+            r#"{"n":1,"name":"a","ratio":0.5}"#,
+            r#"{"n":1,"name":"a","ratio":1e39,"flags":[]}"#,
+            r#"{"n":1,"name":"a","ratio":0.5,"flags":[true,0]}"#,
+            r#"{"n":-1,"name":"a","ratio":0.5,"flags":[]}"#,
+            r#"{"n":1,"name":null,"ratio":0.5,"flags":[]}"#,
+            r#"{"n":1,"name":"a","ratio":0.5,"flags":[tru]}"#,
+            r#"{"n":1,"name":"a","ratio":0.5,"flags":[]} x"#,
+            r#"[{"n":1}]"#,
+            "7",
+        ] {
+            let text = from_str::<Demo>(doc).unwrap_err();
+            assert_eq!(Err(text), tree_decode::<Demo>(doc), "{doc}");
+        }
+        // the first of duplicate keys wins, even over a later bad value
+        let doc = r#"{"n":1,"name":"a","n":"two","ratio":0.5,"flags":[]}"#;
+        assert_eq!(from_str::<Demo>(doc).unwrap().n, 1);
+        assert_eq!(from_str::<Demo>(doc).unwrap(), tree_decode::<Demo>(doc).unwrap());
+        // a syntax error later in the document beats an earlier decode error
+        let doc = r#"{"n":"one","name":"a","ratio":0.5,"flags":[tru]}"#;
+        let e = from_str::<Demo>(doc).unwrap_err();
+        assert!(e.position().is_some() && e.path().is_empty(), "{e}");
+        assert_eq!(Err(e), tree_decode::<Demo>(doc));
+        // a syntax error met inside a nested value carries no decode path
+        let e = from_str::<Vec<Vec<f32>>>("[[1, 2], [3, x]]").unwrap_err();
+        assert_eq!((e.position(), e.path()), (Some((1, 14)), ""), "{e}");
+        // of two decode errors the first in document order is reported,
+        // where the tree decode reports the first declared field's
+        let doc = r#"{"flags":[1],"n":-1,"name":"a","ratio":0.5}"#;
+        assert_eq!(from_str::<Demo>(doc).unwrap_err().path(), "flags[0]");
+        assert_eq!(tree_decode::<Demo>(doc).unwrap_err().path(), "n");
+        // the nesting limit holds inside a skipped unknown key
+        let deep = format!(
+            r#"{{"n":1,"name":"a","ratio":0.5,"flags":[],"x":{}{}}}"#,
+            "[".repeat(200),
+            "]".repeat(200)
+        );
+        let e = from_str::<Demo>(&deep).unwrap_err();
+        assert!(e.to_string().contains("nesting too deep"), "{e}");
+        assert_eq!(Err(e), tree_decode::<Demo>(&deep));
+    }
+
+    #[test]
+    fn integer_minus_zero_decodes_to_positive_zero() {
+        // "-0" is the integer 0, so an f32 gets +0.0 (a plain parse as
+        // f64 would give -0.0); "-0.0" is a float and keeps its sign
+        assert_eq!(from_str::<f32>("-0").unwrap().to_bits(), 0);
+        assert_eq!(from_str::<f32>("-0.0").unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(from_str::<Vec<f32>>("[-0]").unwrap()[0].to_bits(), 0);
     }
 
     #[derive(Debug, PartialEq, Clone, Copy)]

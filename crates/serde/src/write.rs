@@ -1,6 +1,9 @@
 //! JSON writers: compact (single line) and pretty (2-space indent, the
 //! shape `serde_json::to_string_pretty` produced, so existing `results/`
-//! files and new ones diff cleanly).
+//! files and new ones diff cleanly). The scalar writers also serve the
+//! direct [`crate::ToJson::write_json`] paths, so both give the same bytes.
+
+use std::fmt::Write;
 
 use crate::{Json, Num};
 
@@ -75,16 +78,16 @@ fn push_indent(levels: usize, out: &mut String) {
     }
 }
 
-fn write_num(n: Num, out: &mut String) {
+pub fn write_num(n: Num, out: &mut String) {
     match n {
-        Num::U(u) => out.push_str(&u.to_string()),
-        Num::I(i) => out.push_str(&i.to_string()),
+        Num::U(u) => push_fmt(out, format_args!("{u}")),
+        Num::I(i) => push_fmt(out, format_args!("{i}")),
         Num::F(f) => {
             if f.is_finite() {
                 // Debug formatting gives the shortest decimal that
                 // round-trips the f64 and always keeps a ".0" on integers,
                 // matching serde_json's ryu output for the common cases
-                out.push_str(&format!("{f:?}"));
+                push_fmt(out, format_args!("{f:?}"));
             } else {
                 // JSON has no NaN/Infinity; degrade to null like JS
                 out.push_str("null");
@@ -93,7 +96,23 @@ fn write_num(n: Num, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// An `f32` as `ToJson::to_json` renders it, without the tree: the f64
+/// nearest the f32's shortest decimal has that same shortest decimal, and
+/// f32 and f64 switch to exponent notation at the same magnitudes, so the
+/// f32's own `{:?}` is the tree's text.
+pub fn write_f32(v: f32, out: &mut String) {
+    if v.is_finite() {
+        push_fmt(out, format_args!("{v:?}"));
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn push_fmt(out: &mut String, args: std::fmt::Arguments<'_>) {
+    out.write_fmt(args).expect("writing to a String cannot fail");
+}
+
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -104,9 +123,7 @@ fn write_string(s: &str, out: &mut String) {
             '\t' => out.push_str("\\t"),
             '\u{0008}' => out.push_str("\\b"),
             '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
+            c if (c as u32) < 0x20 => push_fmt(out, format_args!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }

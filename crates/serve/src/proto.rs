@@ -40,7 +40,7 @@
 //! executor produced — the differential tests compare raw bit patterns.
 
 use lip_data::CovariateSpec;
-use lip_serde::{FromJson, Json, JsonError, ToJson};
+use lip_serde::{FromJson, Json, JsonError, Kind, Parser, ToJson};
 
 use crate::error::ServeError;
 
@@ -81,72 +81,47 @@ impl ToJson for ForecastWindow {
     }
 }
 
-impl FromJson for ForecastWindow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let optional = |key: &str| -> Option<&Json> {
-            v.get(key).filter(|j| !matches!(j, Json::Null))
-        };
-        let cov_numerical = match optional("cov_numerical") {
-            Some(j) => Some(
-                Vec::<Vec<f32>>::from_json(j)
-                    .map_err(|e| e.in_field("cov_numerical"))?,
-            ),
-            None => None,
-        };
-        let cov_categorical = match optional("cov_categorical") {
-            Some(j) => Some(
-                Vec::<Vec<usize>>::from_json(j)
-                    .map_err(|e| e.in_field("cov_categorical"))?,
-            ),
-            None => None,
-        };
-        Ok(ForecastWindow {
-            x: v.field("x")?,
-            time_feats: v.field("time_feats")?,
-            cov_numerical,
-            cov_categorical,
-        })
-    }
-}
-
-impl ForecastWindow {
-    /// Reject ragged rows early with a typed error: tensors need uniform
-    /// widths, and a precise message beats an opaque shape mismatch later.
-    /// `at` names the window in multi-window bodies (`""` for the legacy
-    /// top-level form).
-    fn check_rectangular(&self, at: &str) -> Result<(), ServeError> {
-        let uniform = |name: &str, rows: &[Vec<f32>]| -> Result<(), ServeError> {
-            if let Some(first) = rows.first() {
-                if let Some((i, r)) = rows
-                    .iter()
-                    .enumerate()
-                    .find(|(_, r)| r.len() != first.len())
-                {
-                    return Err(ServeError::BadRequest {
-                        message: format!(
-                            "'{at}{name}' row {i} has {} values, row 0 has {}",
-                            r.len(),
-                            first.len()
-                        ),
-                        position: None,
-                    });
-                }
+/// Reject ragged rows early with a typed error: tensors need uniform
+/// widths, and a precise message beats an opaque shape mismatch later.
+/// `at` names the window in multi-window bodies (`""` for the legacy
+/// top-level form).
+fn check_rectangular(
+    at: &str,
+    x: &[Vec<f32>],
+    time_feats: &[Vec<f32>],
+    cov_numerical: Option<&[Vec<f32>]>,
+) -> Result<(), ServeError> {
+    let uniform = |name: &str, rows: &[Vec<f32>]| -> Result<(), ServeError> {
+        if let Some(first) = rows.first() {
+            if let Some((i, r)) = rows
+                .iter()
+                .enumerate()
+                .find(|(_, r)| r.len() != first.len())
+            {
+                return Err(ServeError::BadRequest {
+                    message: format!(
+                        "'{at}{name}' row {i} has {} values, row 0 has {}",
+                        r.len(),
+                        first.len()
+                    ),
+                    position: None,
+                });
             }
-            Ok(())
-        };
-        uniform("x", &self.x)?;
-        uniform("time_feats", &self.time_feats)?;
-        if let Some(n) = &self.cov_numerical {
-            uniform("cov_numerical", n)?;
-        }
-        if self.x.is_empty() || self.x[0].is_empty() {
-            return Err(ServeError::BadRequest {
-                message: format!("'{at}x' must be a non-empty [seq_len][channels] array"),
-                position: None,
-            });
         }
         Ok(())
+    };
+    uniform("x", x)?;
+    uniform("time_feats", time_feats)?;
+    if let Some(n) = cov_numerical {
+        uniform("cov_numerical", n)?;
     }
+    if x.is_empty() || x[0].is_empty() {
+        return Err(ServeError::BadRequest {
+            message: format!("'{at}x' must be a non-empty [seq_len][channels] array"),
+            position: None,
+        });
+    }
+    Ok(())
 }
 
 /// One forecast request: a checkpoint reference plus one window of inputs —
@@ -201,67 +176,143 @@ impl ToJson for ForecastRequest {
     }
 }
 
-impl FromJson for ForecastRequest {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let optional = |key: &str| -> Option<&Json> {
-            v.get(key).filter(|j| !matches!(j, Json::Null))
-        };
-        let spec = match optional("spec") {
-            Some(j) => CovariateSpec::from_json(j).map_err(|e| e.in_field("spec"))?,
-            None => default_spec(),
-        };
-        let cov_numerical = match optional("cov_numerical") {
-            Some(j) => Some(
-                Vec::<Vec<f32>>::from_json(j)
-                    .map_err(|e| e.in_field("cov_numerical"))?,
-            ),
-            None => None,
-        };
-        let cov_categorical = match optional("cov_categorical") {
-            Some(j) => Some(
-                Vec::<Vec<usize>>::from_json(j)
-                    .map_err(|e| e.in_field("cov_categorical"))?,
-            ),
-            None => None,
-        };
-        let windows = match optional("windows") {
-            Some(j) => Some(
-                Vec::<ForecastWindow>::from_json(j)
-                    .map_err(|e| e.in_field("windows"))?,
-            ),
-            None => None,
-        };
-        // the top-level window fields stay required in the legacy form,
-        // and absent in the multi-window form
-        let (x, time_feats) = if windows.is_some() {
-            let absent = |key: &str| -> Result<Vec<Vec<f32>>, JsonError> {
-                match optional(key) {
-                    Some(j) => Vec::<Vec<f32>>::from_json(j)
-                        .map_err(|e| e.in_field(key)),
-                    None => Ok(vec![]),
-                }
-            };
-            (absent("x")?, absent("time_feats")?)
-        } else {
-            (v.field("x")?, v.field("time_feats")?)
-        };
-        Ok(ForecastRequest {
-            checkpoint: v.field("checkpoint")?,
-            spec,
-            x,
-            time_feats,
-            cov_numerical,
-            cov_categorical,
-            windows,
-        })
+/// Read `key`'s value with `read`, naming the field in the error path.
+fn field<T>(
+    p: &mut Parser<'_>,
+    key: &str,
+    read: fn(&mut Parser<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    read(p).map_err(|e| e.in_field(key))
+}
+
+/// `Option::<Vec<Vec<f32>>>::from_text` (the same values, errors and
+/// paths), allocating each row at the width of the row before it: rows
+/// share one width in every valid window.
+fn rows(p: &mut Parser<'_>) -> Result<Option<Vec<Vec<f32>>>, JsonError> {
+    if p.kind()? == Kind::Null {
+        return p.skip().map(|()| None);
     }
+    let mut rows: Vec<Vec<f32>> = Vec::new();
+    p.elements(|p, i| {
+        let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
+        p.elements(|p, j| {
+            row.push(f32::from_text(p).map_err(|e| e.in_index(j))?);
+            Ok(())
+        })
+        .map_err(|e| e.in_index(i))?;
+        rows.push(row);
+        Ok(())
+    })?;
+    Ok(Some(rows))
+}
+
+/// A required field's value, or the missing-field error.
+fn required<T>(slot: Option<T>, key: &str) -> Result<T, JsonError> {
+    slot.ok_or_else(|| JsonError::missing(key))
+}
+
+/// A required array field read as nullable (the request's `x` may be null
+/// in the multi-window form): absent is a missing field, null a type
+/// mismatch.
+fn non_null<T>(slot: Option<Option<T>>, key: &str) -> Result<T, JsonError> {
+    required(slot, key)?.ok_or_else(|| JsonError::expected("array", Kind::Null).in_field(key))
+}
+
+/// Read one window object in a single pass over its keys. As everywhere
+/// in `lip-serde`, the first of duplicate keys wins, unknown keys are
+/// skipped, and `null` optional fields are absent. A null `x` or
+/// `time_feats`, like an absent one, is reported at the end of the object.
+fn read_window(p: &mut Parser<'_>) -> Result<ForecastWindow, JsonError> {
+    let (mut x, mut time_feats, mut cov_numerical, mut cov_categorical) = (None, None, None, None);
+    p.members(|p, key| {
+        match key {
+            "x" if x.is_none() => x = Some(field(p, key, rows)?),
+            "time_feats" if time_feats.is_none() => time_feats = Some(field(p, key, rows)?),
+            "cov_numerical" if cov_numerical.is_none() => {
+                cov_numerical = Some(field(p, key, rows)?);
+            }
+            "cov_categorical" if cov_categorical.is_none() => {
+                cov_categorical = Some(field(p, key, FromJson::from_text)?);
+            }
+            _ => p.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(ForecastWindow {
+        x: non_null(x, "x")?,
+        time_feats: non_null(time_feats, "time_feats")?,
+        cov_numerical: cov_numerical.flatten(),
+        cov_categorical: cov_categorical.flatten(),
+    })
+}
+
+/// Read the `windows` array (or `null`).
+fn read_windows(p: &mut Parser<'_>) -> Result<Option<Vec<ForecastWindow>>, JsonError> {
+    if p.kind()? == Kind::Null {
+        return p.skip().map(|()| None);
+    }
+    let mut windows = Vec::new();
+    p.elements(|p, i| {
+        windows.push(read_window(p).map_err(|e| e.in_index(i))?);
+        Ok(())
+    })?;
+    Ok(Some(windows))
+}
+
+/// Read a request body in a single pass over its keys, straight into the
+/// request's own fields. Whether `x` and `time_feats` are required depends
+/// on `windows`, which may come later, so their absence is judged at the
+/// end of the body.
+fn read_request(p: &mut Parser<'_>) -> Result<ForecastRequest, JsonError> {
+    let (mut checkpoint, mut spec, mut x, mut time_feats) = (None, None, None, None);
+    let (mut cov_numerical, mut cov_categorical, mut windows) = (None, None, None);
+    p.members(|p, key| {
+        match key {
+            "checkpoint" if checkpoint.is_none() => {
+                checkpoint = Some(field(p, key, String::from_text)?);
+            }
+            "spec" if spec.is_none() => spec = Some(field(p, key, FromJson::from_text)?),
+            "x" if x.is_none() => x = Some(field(p, key, rows)?),
+            "time_feats" if time_feats.is_none() => time_feats = Some(field(p, key, rows)?),
+            "cov_numerical" if cov_numerical.is_none() => {
+                cov_numerical = Some(field(p, key, rows)?);
+            }
+            "cov_categorical" if cov_categorical.is_none() => {
+                cov_categorical = Some(field(p, key, FromJson::from_text)?);
+            }
+            "windows" if windows.is_none() => {
+                windows = Some(read_windows(p).map_err(|e| e.in_field(key))?);
+            }
+            _ => p.skip()?,
+        }
+        Ok(())
+    })?;
+    let windows = windows.flatten();
+    // the top-level window fields stay required in the legacy form, and
+    // may be absent or null in the multi-window form
+    let (x, time_feats) = if windows.is_some() {
+        (x.flatten().unwrap_or_default(), time_feats.flatten().unwrap_or_default())
+    } else {
+        (non_null(x, "x")?, non_null(time_feats, "time_feats")?)
+    };
+    Ok(ForecastRequest {
+        checkpoint: required(checkpoint, "checkpoint")?,
+        spec: spec.flatten().unwrap_or_else(default_spec),
+        x,
+        time_feats,
+        cov_numerical: cov_numerical.flatten(),
+        cov_categorical: cov_categorical.flatten(),
+        windows,
+    })
 }
 
 impl ForecastRequest {
-    /// Decode a request body, mapping parse failures to a typed 400 that
-    /// keeps `lip-serde`'s line:column position.
+    /// Decode a request body in one pass, mapping parse failures to a
+    /// typed 400 that keeps `lip-serde`'s line:column position. The
+    /// numbers go straight from the text into the request's rows, with the
+    /// values, errors and decode paths of a `lip-serde` tree decode.
     pub fn parse(body: &[u8]) -> Result<ForecastRequest, ServeError> {
-        let req: ForecastRequest = lip_serde::from_slice(body)?;
+        let req = lip_serde::from_slice_with(body, read_request)?;
         req.check_rectangular()?;
         Ok(req)
     }
@@ -292,21 +343,16 @@ impl ForecastRequest {
                     )));
                 }
                 for (i, w) in ws.iter().enumerate() {
-                    w.check_rectangular(&format!("windows[{i}]."))?;
+                    check_rectangular(
+                        &format!("windows[{i}]."),
+                        &w.x,
+                        &w.time_feats,
+                        w.cov_numerical.as_deref(),
+                    )?;
                 }
                 Ok(())
             }
-            None => self.as_window().check_rectangular(""),
-        }
-    }
-
-    /// View the legacy top-level fields as a [`ForecastWindow`] (clones).
-    fn as_window(&self) -> ForecastWindow {
-        ForecastWindow {
-            x: self.x.clone(),
-            time_feats: self.time_feats.clone(),
-            cov_numerical: self.cov_numerical.clone(),
-            cov_categorical: self.cov_categorical.clone(),
+            None => check_rectangular("", &self.x, &self.time_feats, self.cov_numerical.as_deref()),
         }
     }
 
@@ -326,7 +372,7 @@ impl ForecastRequest {
 
     /// Row-major flattening of a `[rows][width]` array.
     pub fn flatten(rows: &[Vec<f32>]) -> Vec<f32> {
-        rows.iter().flat_map(|r| r.iter().copied()).collect()
+        rows.concat()
     }
 }
 

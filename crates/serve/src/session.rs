@@ -86,32 +86,18 @@ pub struct Session {
 
 impl Session {
     /// Validate one window against this session's contract and flatten it
-    /// into a [`Job`]. Every shape or code-range violation is a typed
-    /// error — nothing downstream can assert on request data.
-    pub fn validate_window(&self, req: &ForecastWindow) -> Result<Job, ServeError> {
-        let x = ForecastRequest::flatten(&req.x);
-        let tf = ForecastRequest::flatten(&req.time_feats);
-        let cov_numerical = req.cov_numerical.as_ref().map(|n| ForecastRequest::flatten(n));
-        let cov_categorical = req.cov_categorical.clone();
-
-        let batch = assemble(
-            &self.contract,
-            1,
-            x.clone(),
-            tf.clone(),
-            cov_numerical.clone(),
-            cov_categorical.as_ref().map(|chans| {
-                chans.iter().map(|c| c.to_vec()).collect::<Vec<_>>()
-            }),
-        )?;
-        self.contract
-            .check(&batch)
-            .map_err(|message| ServeError::Contract { message })?;
+    /// into a [`Job`]. The window's rows are held to the same rules, with
+    /// the same text, as a `B = 1` batch under `BatchContract::check`: the
+    /// row count and every row's width, and the categorical channels'
+    /// count, lengths and code ranges. Every violation is a typed error —
+    /// nothing downstream can assert on request data.
+    pub fn validate_window(&self, window: &ForecastWindow) -> Result<Job, ServeError> {
+        check_window(&self.contract, window).map_err(|message| ServeError::Contract { message })?;
         Ok(Job {
-            x,
-            time_feats: tf,
-            cov_numerical,
-            cov_categorical,
+            x: ForecastRequest::flatten(&window.x),
+            time_feats: ForecastRequest::flatten(&window.time_feats),
+            cov_numerical: window.cov_numerical.as_deref().map(ForecastRequest::flatten),
+            cov_categorical: window.cov_categorical.clone(),
             enqueued: Instant::now(),
         })
     }
@@ -201,6 +187,26 @@ impl Session {
             })
             .collect()
     }
+}
+
+/// `window` against `c` as a `B = 1` batch, part by part.
+fn check_window(c: &BatchContract, window: &ForecastWindow) -> Result<(), String> {
+    let x = window_shape(&window.x, c.channels);
+    BatchContract::check_shape("x", &x, &[1, c.seq_len, c.channels])?;
+    let tf = window_shape(&window.time_feats, c.time_features);
+    BatchContract::check_shape("time_feats", &tf, &[1, c.pred_len, c.time_features])?;
+    let numerical = window.cov_numerical.as_deref().map(|n| window_shape(n, c.numerical));
+    c.check_numerical(1, numerical.as_ref().map(|shape| shape.as_slice()))?;
+    c.check_categorical(1, window.cov_categorical.as_deref().unwrap_or(&[]))
+}
+
+/// A window part's `[1, rows, width]` shape for a contract that wants rows
+/// `width` wide. Parsed requests are rectangular, but a direct caller's
+/// window may not be: the first row of another width stands for the whole
+/// part, so a ragged part never passes.
+fn window_shape(rows: &[Vec<f32>], width: usize) -> [usize; 3] {
+    let got = rows.iter().map(Vec::len).find(|&w| w != width).unwrap_or(width);
+    [1, rows.len(), got]
 }
 
 /// Build a `Batch` from flattened row-major buffers; length mismatches are

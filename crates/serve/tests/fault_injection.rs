@@ -39,7 +39,12 @@ struct Battery {
 
 impl Battery {
     fn new(tag: &str) -> Battery {
-        let fx = common::fixture(DatasetName::ETTh1, tag);
+        Battery::on(DatasetName::ETTh1, tag)
+    }
+
+    /// A battery serving a checkpoint trained on `name`.
+    fn on(name: DatasetName, tag: &str) -> Battery {
+        let fx = common::fixture(name, tag);
         let server = common::start(ServerConfig {
             workers: 4,
             limits: fast_limits(),
@@ -246,6 +251,65 @@ fn garbage_and_malformed_requests() {
     assert_eq!(resp.error_code(), "bad_batch");
     b.assert_healthy("short x");
 
+    b.server.shutdown();
+}
+
+/// `rows` regrouped into rows of `width`: the same values in the same
+/// order, so only the row structure differs.
+fn regroup(rows: &[Vec<f32>], width: usize) -> Vec<Vec<f32>> {
+    rows.concat().chunks(width).map(<[f32]>::to_vec).collect()
+}
+
+#[test]
+fn window_shapes_are_checked_by_rows_not_totals() {
+    // a covariate checkpoint, so every part of a window has a contract
+    let b = Battery::on(DatasetName::ElectriPrice, "faults-rows");
+    let addr = b.server.addr();
+    let w = common::window(&b.fx, 0);
+    let spec = &b.fx.prep.spec;
+    assert!(spec.numerical > 0 && !spec.cardinalities.is_empty(), "{spec:?}");
+    let (c, tf, n) = (b.fx.prep.channels, spec.time_features, spec.numerical);
+
+    // the first three keep the value count the contract wants but regroup
+    // it into half as many rows, twice as wide; the rest break the
+    // covariate channels
+    let mut codes = w.clone();
+    codes.cov_categorical.as_mut().expect("categorical codes")[0][3] = spec.cardinalities[0];
+    let mut short = w.clone();
+    short.cov_categorical.as_mut().expect("categorical codes")[1].pop();
+    for (scenario, window, want) in [
+        ("x regrouped", ForecastWindow { x: regroup(&w.x, 2 * c), ..w.clone() }, "x has shape"),
+        (
+            "time_feats regrouped",
+            ForecastWindow { time_feats: regroup(&w.time_feats, 2 * tf), ..w.clone() },
+            "time_feats has shape",
+        ),
+        (
+            "cov_numerical regrouped",
+            ForecastWindow {
+                cov_numerical: w.cov_numerical.as_deref().map(|rows| regroup(rows, 2 * n)),
+                ..w.clone()
+            },
+            "cov_numerical has shape",
+        ),
+        ("cov_numerical missing", ForecastWindow { cov_numerical: None, ..w.clone() }, "missing"),
+        ("categorical code out of range", codes, "cardinality"),
+        ("categorical channel short", short, "codes, expected"),
+        (
+            "categorical channel missing",
+            ForecastWindow {
+                cov_categorical: w.cov_categorical.as_deref().map(|ch| ch[..1].to_vec()),
+                ..w.clone()
+            },
+            "categorical covariate channels",
+        ),
+    ] {
+        let resp = common::post(addr, "/forecast", &common::window_body(&b.fx, window));
+        assert_eq!(resp.status, 422, "{scenario}: {}", resp.body);
+        assert_eq!(resp.error_code(), "bad_batch", "{scenario}: {}", resp.body);
+        assert!(resp.body.contains(want), "{scenario}: {}", resp.body);
+        b.assert_healthy(scenario);
+    }
     b.server.shutdown();
 }
 
