@@ -9,9 +9,10 @@
 //!   blank line, CRLF or bare LF both accepted;
 //! * bodies require `Content-Length` (no chunked encoding — a request with
 //!   `Transfer-Encoding` is rejected as a typed 400);
-//! * header block capped at [`Limits::max_header`] bytes, body at
-//!   [`Limits::max_body`] (checked against the declared length *before* the
-//!   body is read, so an oversized upload is refused without buffering it);
+//! * header block, terminator included, capped at [`Limits::max_header`]
+//!   bytes, body at [`Limits::max_body`] (checked against the declared
+//!   length *before* the body is read, so an oversized upload is refused
+//!   without buffering it);
 //! * every socket read sits under [`Limits::read_timeout`] and the whole
 //!   request under [`Limits::request_deadline`] — a client trickling one
 //!   byte at a time gets a typed 408, not a wedged worker.
@@ -25,7 +26,8 @@ use crate::error::ServeError;
 /// Size and time ceilings for one request.
 #[derive(Debug, Clone)]
 pub struct Limits {
-    /// Max bytes of request line + headers.
+    /// Max bytes of the header block: request line, headers and the blank
+    /// line that ends them.
     pub max_header: usize,
     /// Max bytes of body (checked against `Content-Length` up front).
     pub max_body: usize,
@@ -113,6 +115,15 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<ReadOutco
         }
     };
 
+    // the cap is checked before each read, so one read may carry the
+    // terminator past it
+    if header_end.after > limits.max_header {
+        return Err(ServeError::PayloadTooLarge {
+            limit: limits.max_header,
+            got: header_end.after,
+        });
+    }
+
     let head = String::from_utf8_lossy(&buf[..header_end.at]).into_owned();
     let mut lines = head.split("\r\n").flat_map(|l| l.split('\n'));
     let request_line = lines.next().unwrap_or("");
@@ -162,32 +173,33 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<ReadOutco
     if want > limits.max_body {
         return Err(ServeError::PayloadTooLarge { limit: limits.max_body, got: want });
     }
-    let mut body: Vec<u8> = buf[header_end.after..].to_vec();
-    if body.len() > want {
+    let early = &buf[header_end.after..];
+    if early.len() > want {
         // bytes beyond Content-Length would desynchronize keep-alive framing
         return Err(bad(format!(
             "{} bytes after the declared Content-Length of {want}",
-            body.len() - want
+            early.len() - want
         )));
     }
-    while body.len() < want {
+    // one buffer at the declared (already capped) length, read in place
+    let mut body = vec![0u8; want];
+    body[..early.len()].copy_from_slice(early);
+    let mut filled = early.len();
+    while filled < want {
         check_deadline(started, limits, "body")?;
-        let mut chunk = vec![0u8; (want - body.len()).min(64 * 1024)];
-        match stream.read(&mut chunk) {
+        match stream.read(&mut body[filled..]) {
             Ok(0) => {
                 return Err(bad(format!(
-                    "connection closed after {} of {want} body bytes",
-                    body.len()
+                    "connection closed after {filled} of {want} body bytes"
                 )))
             }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => filled += n,
             Err(e) if is_timeout(&e) => {
                 return Err(ServeError::Timeout { what: "body".into() })
             }
             Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {
                 return Err(bad(format!(
-                    "connection reset after {} of {want} body bytes",
-                    body.len()
+                    "connection reset after {filled} of {want} body bytes"
                 )))
             }
             Err(e) => return Err(internal(format!("read: {e}"))),

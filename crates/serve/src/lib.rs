@@ -16,10 +16,12 @@
 //!    panic. Concurrent first loads coalesce:
 //!    exactly one thread compiles, the rest block on the same slot.
 //! 2. **Micro-batching** ([`batcher`]) — concurrent requests for the same
-//!    session are coalesced into one `CompiledModel::bind(B)` +
-//!    `BoundModel::run` forward, then de-interleaved back to each requester
-//!    in submission order. A batch flushes once it holds `max_batch`
-//!    requests or no other request is in flight (read by the server but not
+//!    session are coalesced into one batch, run as fixed 8-window shards
+//!    (each one `CompiledModel::bind` + `BoundModel::run` forward in its
+//!    own arena, the shards spread over the `lip-par` budget), then
+//!    de-interleaved back to each requester in submission order. A batch
+//!    flushes once it holds `max_batch` requests or no other request is in
+//!    flight (read by the server but not
 //!    yet queued, sent past the batcher, or failed), so a lone request never
 //!    idles on a timer; `max_wait` only caps the wait for in-flight
 //!    partners. Because the executor's kernels compute every output row with a

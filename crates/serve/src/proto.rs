@@ -2,8 +2,9 @@
 //!
 //! A request carries one forecasting window — or, with the `windows` field,
 //! several at once. Single windows are coalesced with concurrent requests
-//! by the micro-batcher; a `windows` array is already a batch and runs as
-//! **one** `bind(B)` forward. Row-major nested arrays keep the schema
+//! by the micro-batcher; a `windows` array is already a batch and runs
+//! without waiting for partners, like a coalesced batch: in fixed 8-window
+//! shards, each one `bind` forward. Row-major nested arrays keep the schema
 //! human-writable:
 //!
 //! ```json
@@ -44,8 +45,8 @@ use lip_serde::{FromJson, Json, JsonError, Kind, Parser, ToJson};
 
 use crate::error::ServeError;
 
-/// Most windows one request may carry: bounds the single `bind(B)` forward
-/// a hostile body can demand (the HTTP body-size limit bounds it too, but a
+/// Most windows one request may carry: bounds the batch forward a hostile
+/// body can demand (the HTTP body-size limit bounds it too, but a
 /// typed 400 beats an opaque size rejection).
 pub const MAX_WINDOWS: usize = 64;
 
@@ -145,8 +146,8 @@ pub struct ForecastRequest {
     /// Future categorical covariate codes, one row of `pred_len` codes per
     /// categorical channel (required iff `spec.cardinalities` non-empty).
     pub cov_categorical: Option<Vec<Vec<usize>>>,
-    /// Multi-window form: 1..=[`MAX_WINDOWS`] windows batched through one
-    /// forward. Mutually exclusive with the top-level window fields.
+    /// Multi-window form: 1..=[`MAX_WINDOWS`] windows served as one batch.
+    /// Mutually exclusive with the top-level window fields.
     pub windows: Option<Vec<ForecastWindow>>,
 }
 
@@ -400,7 +401,7 @@ lip_serde::json_struct!(ForecastResponse {
 });
 
 /// The multi-window response: one forecast per requested window, all of
-/// which rode one `bind(B)` forward.
+/// which rode one batch (run as 8-window shards, like a coalesced batch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchForecastResponse {
     /// Per-window `[pred_len][channels]` forecasts, in request order.
@@ -409,7 +410,7 @@ pub struct BatchForecastResponse {
     pub model: String,
     /// The batch size — always the number of requested windows.
     pub batched: usize,
-    /// Microseconds of the shared batched forward.
+    /// Microseconds of the whole batch's sharded forward.
     pub run_us: u64,
 }
 

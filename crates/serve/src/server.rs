@@ -296,7 +296,7 @@ fn forecast(req: &Request, shared: &Arc<Shared>, started: Instant) -> Result<Str
         out.rows.chunks(c).map(<[f32]>::to_vec).collect()
     };
     let body = if multi {
-        // an explicit batch: one bind(B) forward, no coalescing wait
+        // an explicit batch: no coalescing wait
         drop(ticket);
         let outs = session.forecast_many(jobs).map_err(fail)?;
         if let Some(k) = outs.iter().position(|o| !finite(&o.rows)) {

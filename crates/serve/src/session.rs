@@ -31,6 +31,7 @@ use std::time::Instant;
 use lip_data::pipeline::CovariateSpec;
 use lip_data::window::{Batch, BatchContract};
 use lip_exec::{compile_inference, CompiledModel};
+use lip_par::Partition;
 use lip_tensor::Tensor;
 use lipformer::checkpoint;
 use lipformer::{Forecaster, LiPFormer, LiPFormerConfig};
@@ -40,6 +41,12 @@ use crate::error::ServeError;
 use crate::fnv1a;
 use crate::proto::{ForecastRequest, ForecastWindow};
 use crate::stats::{ModelStats, StatsRegistry};
+
+/// Windows per shard of a batch. A batch of `B` windows runs as
+/// `⌈B / SHARD_WINDOWS⌉` forwards, each binding its own arena: a split by
+/// `B` alone, never by the thread budget, as `lip-par`'s partitions are.
+/// Up to this size a batch is one shard, whose kernels may fan out.
+const SHARD_WINDOWS: usize = 8;
 
 /// One window's inputs, flattened and validated, ready to coalesce.
 pub struct Job {
@@ -64,7 +71,7 @@ pub struct JobOut {
     pub batched: usize,
     /// Microseconds queued before the batch flushed.
     pub queue_us: u64,
-    /// Microseconds of the shared bind+run.
+    /// Microseconds of the whole batch's sharded bind+run.
     pub run_us: u64,
 }
 
@@ -111,10 +118,10 @@ impl Session {
             .map_err(|message| ServeError::Internal { message })
     }
 
-    /// Run an explicit multi-window batch as **one** `bind(B)` forward,
-    /// bypassing the micro-batcher: the request already is a batch, so
-    /// waiting for strangers to coalesce with would only add latency.
-    /// Outputs come back in job order.
+    /// Run an explicit multi-window batch, bypassing the micro-batcher:
+    /// the request already is a batch, so waiting for strangers to coalesce
+    /// with would only add latency. It runs like a coalesced batch, in
+    /// 8-window shards. Outputs come back in job order.
     pub fn forecast_many(&self, jobs: Vec<Job>) -> Result<Vec<JobOut>, ServeError> {
         self.run_batch(jobs)
             .into_iter()
@@ -127,9 +134,11 @@ impl Session {
         self.batcher.batches_run()
     }
 
-    /// Coalesce `jobs` into one `[B, …]` batch, bind the compiled plan at
-    /// `B`, run one forward, and de-interleave the prediction rows back to
-    /// per-job outputs in submission order.
+    /// Run `jobs` as one batch of `B` windows, split into shards of
+    /// `SHARD_WINDOWS` that run in one `lip-par` region (each shard's
+    /// kernels then run serially on the thread that took it), and hand each
+    /// job its prediction rows in submission order. `batched`, `run_us` and
+    /// the stats describe the whole batch.
     fn run_batch(&self, jobs: Vec<Job>) -> Vec<BatchResult<JobOut>> {
         let b = jobs.len();
         let started = Instant::now();
@@ -138,12 +147,31 @@ impl Session {
             .map(|j| j.enqueued.elapsed().as_micros() as u64)
             .collect();
 
+        let shards = lip_par::map_chunks(Partition::new(b, SHARD_WINDOWS), |_, range| {
+            self.run_shard(&jobs[range])
+        });
+        let run_us = started.elapsed().as_micros() as u64;
+        self.stats.batch(b);
+
+        shards
+            .into_iter()
+            .flatten()
+            .zip(queue_us)
+            .map(|(rows, queue_us)| rows.map(|rows| JobOut { rows, batched: b, queue_us, run_us }))
+            .collect()
+    }
+
+    /// Coalesce one shard's jobs into one `[b, …]` batch, bind the compiled
+    /// plan at `b` in its own arena, run one forward, and de-interleave the
+    /// prediction rows back to per-job outputs in submission order.
+    fn run_shard(&self, jobs: &[Job]) -> Vec<Result<Vec<f32>, String>> {
+        let b = jobs.len();
         let mut x = Vec::with_capacity(b * self.contract.seq_len * self.contract.channels);
         let mut tf = Vec::with_capacity(b * self.contract.pred_len * self.contract.time_features);
         let mut cov_n: Option<Vec<f32>> = self.spec.numerical.gt(&0).then(Vec::new);
         let mut cov_c: Option<Vec<Vec<usize>>> = (!self.spec.cardinalities.is_empty())
             .then(|| vec![Vec::new(); self.spec.cardinalities.len()]);
-        for job in &jobs {
+        for job in jobs {
             x.extend_from_slice(&job.x);
             tf.extend_from_slice(&job.time_feats);
             if let (Some(dst), Some(src)) = (cov_n.as_mut(), job.cov_numerical.as_ref()) {
@@ -157,35 +185,17 @@ impl Session {
         }
         let batch = match assemble(&self.contract, b, x, tf, cov_n, cov_c) {
             Ok(batch) => batch,
-            Err(e) => {
-                let msg = format!("batch assembly: {e}");
-                return jobs.iter().map(|_| Err(msg.clone())).collect();
-            }
+            Err(e) => return vec![Err(format!("batch assembly: {e}")); b],
         };
         // belt and braces: per-request validation makes this unfailable,
         // and checking keeps `BoundModel::run`'s asserts unreachable
         if let Err(message) = self.contract.check_batch(&batch, b) {
-            return jobs.iter().map(|_| Err(message.clone())).collect();
+            return vec![Err(message); b];
         }
 
-        let mut bound = self.compiled.bind(b);
-        let pred = bound.run(&batch);
-        let run_us = started.elapsed().as_micros() as u64;
-        self.stats.batch(b);
-
+        let pred = self.compiled.bind(b).run(&batch);
         let per = self.contract.pred_len * self.contract.channels;
-        let dense = pred.contiguous();
-        let data = dense.data();
-        (0..b)
-            .map(|i| {
-                Ok(JobOut {
-                    rows: data[i * per..(i + 1) * per].to_vec(),
-                    batched: b,
-                    queue_us: queue_us[i],
-                    run_us,
-                })
-            })
-            .collect()
+        pred.contiguous().data().chunks(per).map(|rows| Ok(rows.to_vec())).collect()
     }
 }
 

@@ -142,6 +142,38 @@ fn oversized_payloads() {
     b.server.shutdown();
 }
 
+/// A `GET /healthz` whose header block, blank line included, is `len`
+/// bytes, sent in one write.
+fn padded_healthz(len: usize) -> Vec<u8> {
+    let line = "GET /healthz HTTP/1.1\r\n";
+    let pad = len - line.len() - "X-Pad: \r\n\r\n".len();
+    format!("{line}X-Pad: {}\r\n\r\n", "a".repeat(pad)).into_bytes()
+}
+
+#[test]
+fn header_block_past_the_cap_in_one_read_is_refused() {
+    let b = Battery::new("faults-header-cap");
+    let addr = b.server.addr();
+    let cap = fast_limits().max_header;
+
+    // the whole block arrives at once, so the cap is crossed inside a read
+    let mut s = common::connect(addr);
+    s.write_all(&padded_healthz(cap + 702)).expect("headers");
+    let resp = common::read_response(&mut s).expect("413 response");
+    assert_eq!(resp.status, 413, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "payload_too_large");
+    b.assert_healthy("header block past the cap");
+
+    // a block that ends exactly at the cap is still served
+    let mut s = common::connect(addr);
+    s.write_all(&padded_healthz(cap)).expect("headers");
+    let resp = common::read_response(&mut s).expect("response");
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    b.assert_healthy("header block at the cap");
+
+    b.server.shutdown();
+}
+
 #[test]
 fn slow_writers_hit_timeouts() {
     let b = Battery::new("faults-slow");

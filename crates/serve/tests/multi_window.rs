@@ -1,7 +1,9 @@
-//! Multi-window requests: a `windows` array must run as **one** `bind(B)`
-//! forward and return forecasts byte-identical to submitting the same
-//! windows sequentially as single-window requests (and to direct
-//! `lip-exec` execution).
+//! Multi-window requests: a `windows` array runs as one batch of `B`
+//! windows, split like a coalesced batch into fixed 8-window shards, and
+//! must return forecasts byte-identical to submitting the same windows
+//! sequentially as single-window requests and to one direct `bind(B)`
+//! forward in `lip-exec`. The shard size is fixed, so the split is taken
+//! at every thread budget.
 
 mod common;
 
@@ -78,6 +80,44 @@ fn multi_window_equals_sequential_equals_direct() {
         multi, sequential,
         "multi-window batch diverged from sequential submission"
     );
+
+    assert_eq!(server.panics(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn sharded_batches_serve_the_bytes_of_one_direct_forward() {
+    let fx = common::fixture(DatasetName::ETTh1, "multi-shards");
+    let model = checkpoint::load_model(&fx.ckpt, &fx.prep.spec).expect("load checkpoint");
+    let compiled = compile_inference(&model, &fx.prep.spec).expect("compile");
+    let server = common::start(ServerConfig::default());
+
+    // one short shard, one full, and full shards with 1 left over
+    let sizes = [7usize, 8, 9, 17, 33];
+    for (served, &b) in sizes.iter().enumerate() {
+        let indices: Vec<usize> = (0..b).collect();
+        let batch = fx.prep.train.batch(&indices);
+        let pred = lip_par::with_threads(1, || compiled.bind(b).run(&batch));
+        let want: Vec<u32> = pred.contiguous().data().iter().map(|v| v.to_bits()).collect();
+
+        let windows = (0..b).map(|w| common::window(&fx, w)).collect();
+        let resp = common::post(server.addr(), "/forecast", &common::windows_body(&fx, windows));
+        assert_eq!(resp.status, 200, "B = {b}: {}", resp.body);
+        let json = resp.json();
+        assert_eq!(json.field::<u64>("batched"), Ok(b as u64), "B = {b}");
+        let forecasts = json
+            .field::<Vec<Vec<Vec<f32>>>>("forecasts")
+            .expect("forecasts field");
+        let got: Vec<u32> = forecasts.into_iter().flatten().flatten().map(f32::to_bits).collect();
+        assert!(got == want, "B = {b}: served bytes differ from one direct forward");
+
+        // each request is one batch of its full size in /stats
+        let stats = common::get(server.addr(), "/stats").json();
+        let models = stats.get("models").expect("models").as_array().expect("array");
+        let hist = models[0].field::<Vec<Vec<u64>>>("batch_hist").expect("batch_hist");
+        let want_hist: Vec<Vec<u64>> = sizes[..=served].iter().map(|&s| vec![s as u64, 1]).collect();
+        assert_eq!(hist, want_hist, "B = {b}");
+    }
 
     assert_eq!(server.panics(), 0);
     server.shutdown();

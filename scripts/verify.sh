@@ -28,6 +28,10 @@ echo "==> cargo test --release -q --offline -p lip-tensor (the vectorized matmul
 echo "    tiles exist only in optimized builds; the passes above are debug builds)"
 cargo test --release -q --offline -p lip-tensor
 
+echo "==> cargo test --release -q --offline -p lip-par (a region takes back the helper"
+echo "    jobs no worker has started; optimized builds time that race differently)"
+cargo test --release -q --offline -p lip-par
+
 echo "==> lip-analyze --plan --lint --check-model (static graph gate: lift each"
 echo "    benchmark model's plan from its own tape, then the tape checks)"
 cargo run -q --release --offline -p lip-analyze -- --plan --lint --check-model
