@@ -208,6 +208,39 @@ fn lint_only(t: &Target) -> usize {
     findings.len()
 }
 
+/// Lift `config` under `spec`, then build and statically verify its fused
+/// and unfused schedules, printing every finding under `label`. Returns
+/// `(findings, schedules verified)`.
+fn verify_schedules(label: &str, config: &LiPFormerConfig, spec: &CovariateSpec) -> (usize, usize) {
+    let plan = match lift_plan(config, spec, false) {
+        Ok(p) => p,
+        Err(e) => {
+            println!("{label}: plan rejected: {e}");
+            return (1, 0);
+        }
+    };
+    let (mut findings, mut verified) = (0, 0);
+    for (slabel, sched) in [
+        ("fused", InferenceSchedule::build(&plan)),
+        ("unfused", InferenceSchedule::build_unfused(&plan)),
+    ] {
+        match sched {
+            Ok(sched) => {
+                for f in verify_schedule(&plan, &sched) {
+                    println!("{label}/{slabel}: {f}");
+                    findings += 1;
+                }
+                verified += 1;
+            }
+            Err(e) => {
+                println!("{label}/{slabel}: schedule rejected: {e}");
+                findings += 1;
+            }
+        }
+    }
+    (findings, verified)
+}
+
 /// A named architecture tweak applied on top of a dataset's base config.
 type ConfigVariant = fn(LiPFormerConfig) -> LiPFormerConfig;
 
@@ -241,32 +274,9 @@ fn verify_plan_sweep() -> usize {
             let config = variant(base.clone());
             for (plabel, spec) in &policies {
                 let label = format!("{name:?}/{vlabel}/{plabel}");
-                let plan = match lift_plan(&config, spec, false) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        println!("{label}: plan rejected: {e}");
-                        findings += 1;
-                        continue;
-                    }
-                };
-                for (slabel, sched) in [
-                    ("fused", InferenceSchedule::build(&plan)),
-                    ("unfused", InferenceSchedule::build_unfused(&plan)),
-                ] {
-                    match sched {
-                        Ok(sched) => {
-                            for f in verify_schedule(&plan, &sched) {
-                                println!("{label}/{slabel}: {f}");
-                                findings += 1;
-                            }
-                            verified += 1;
-                        }
-                        Err(e) => {
-                            println!("{label}/{slabel}: schedule rejected: {e}");
-                            findings += 1;
-                        }
-                    }
-                }
+                let (found, ok) = verify_schedules(&label, &config, spec);
+                findings += found;
+                verified += ok;
             }
         }
     }
@@ -292,33 +302,9 @@ fn verify_plan_sweep() -> usize {
             for f in &report.findings {
                 println!("{label}: {f}");
             }
-            findings += report.findings.len();
-            let plan = match lift_plan(&config, spec, false) {
-                Ok(p) => p,
-                Err(e) => {
-                    println!("{label}: plan rejected: {e}");
-                    findings += 1;
-                    continue;
-                }
-            };
-            for (slabel, sched) in [
-                ("fused", InferenceSchedule::build(&plan)),
-                ("unfused", InferenceSchedule::build_unfused(&plan)),
-            ] {
-                match sched {
-                    Ok(sched) => {
-                        for f in verify_schedule(&plan, &sched) {
-                            println!("{label}/{slabel}: {f}");
-                            findings += 1;
-                        }
-                        comp_verified += 1;
-                    }
-                    Err(e) => {
-                        println!("{label}/{slabel}: schedule rejected: {e}");
-                        findings += 1;
-                    }
-                }
-            }
+            let (found, ok) = verify_schedules(&label, &config, spec);
+            findings += report.findings.len() + found;
+            comp_verified += ok;
         }
     }
     println!(

@@ -143,56 +143,11 @@ impl SymTape {
     }
 }
 
-/// Result-based mirror of `LiPFormerConfig::validate` plus the covariate
-/// checks the model constructor asserts: every inconsistency becomes a
-/// [`PlanError`] instead of a panic, so a caller holding only a
-/// configuration and a spec rejects them before any model is constructed.
+/// [`LiPFormerConfig::check_for`] as a [`PlanError`] at stage `"config"`:
+/// a caller holding only a configuration and a spec rejects what the model
+/// constructor would assert on before any model is constructed.
 pub fn validate_config(config: &LiPFormerConfig, spec: &CovariateSpec) -> Result<(), PlanError> {
-    let c = |msg: String| PlanError::new("config", msg);
-    if config.seq_len == 0 || config.pred_len == 0 || config.channels == 0 {
-        return Err(c("seq_len, pred_len and channels must be positive".into()));
-    }
-    if config.patch_len == 0 || !config.seq_len.is_multiple_of(config.patch_len) {
-        return Err(c(format!(
-            "patch_len {} must evenly divide seq_len {} (paper §IV-A2)",
-            config.patch_len, config.seq_len
-        )));
-    }
-    if config.hidden == 0 || config.heads == 0 || !config.hidden.is_multiple_of(config.heads) {
-        return Err(c(format!(
-            "hidden {} must divide by heads {}",
-            config.hidden, config.heads
-        )));
-    }
-    if !(0.0..1.0).contains(&config.dropout) {
-        return Err(c(format!("dropout {} must be in [0, 1)", config.dropout)));
-    }
-    if config.smooth_l1_beta <= 0.0 {
-        return Err(c("smooth_l1_beta must be positive".into()));
-    }
-    if config.encoder_hidden == 0 {
-        return Err(c("encoder_hidden must be positive".into()));
-    }
-    if config.stages.depth == 0 {
-        return Err(c("stages.depth must be >= 1".into()));
-    }
-    // the encoder's dense input: explicit numerical covariates, else the
-    // implicit time features (categories alone have none)
-    let dense = if spec.has_explicit() {
-        spec.numerical
-    } else {
-        spec.time_features
-    };
-    let spec_error = if dense == 0 {
-        Some("the covariate encoder needs a numerical covariate or time feature")
-    } else if spec.cardinalities.contains(&0) {
-        Some("every categorical covariate needs a cardinality above 0")
-    } else if config.categorical_embed == 0 && !spec.cardinalities.is_empty() {
-        Some("categorical covariates need categorical_embed above 0")
-    } else {
-        None
-    };
-    spec_error.map_or(Ok(()), |m| Err(c(m.into())))
+    config.check_for(spec).map_err(|m| PlanError::new("config", m))
 }
 
 /// A planned forward + loss pass.
@@ -648,6 +603,21 @@ mod tests {
         let err = validate_config(&config, &implicit_spec()).unwrap_err();
         assert_eq!(err.stage, "config");
         assert!(err.message.contains("depth"), "{}", err.message);
+    }
+
+    #[test]
+    fn validate_and_validate_config_reject_the_same_configs() {
+        // configurations that once passed `validate()` but failed here
+        let mut headless = LiPFormerConfig::small(48, 24, 2);
+        (headless.hidden, headless.heads) = (0, 0);
+        let mut no_encoder = LiPFormerConfig::small(48, 24, 2);
+        no_encoder.encoder_hidden = 0;
+        for config in [headless, no_encoder] {
+            let err = validate_config(&config, &implicit_spec()).unwrap_err();
+            assert_eq!(err.stage, "config");
+            let panic = std::panic::catch_unwind(|| config.validate()).unwrap_err();
+            assert_eq!(panic.downcast_ref::<String>(), Some(&err.message));
+        }
     }
 
     #[test]

@@ -256,6 +256,13 @@ pub fn load_bytes(raw: &[u8]) -> Result<(CheckpointHeader, Vec<Tensor>), Checkpo
         u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes")) as usize;
     let mut header: CheckpointHeader = lip_serde::from_slice(take(&mut cursor, header_len)?)
         .map_err(|e| CheckpointError::Corrupt(format!("header decode: {e}")))?;
+    if header.frozen.len() != header.param_names.len() {
+        return Err(CheckpointError::Corrupt(format!(
+            "header has {} freeze flags for {} parameters",
+            header.frozen.len(),
+            header.param_names.len()
+        )));
+    }
     match header.version {
         1 => {
             // Compat shim: v1 monolith checkpoints predate stage_layout.
@@ -407,13 +414,18 @@ pub fn restore_stage(
 /// One-call deployment load: read a checkpoint, rebuild the model from the
 /// header's configuration, and restore the saved parameters into it. `spec`
 /// must be the covariate spec the saved model was constructed with (the
-/// parameter-name check rejects a mismatched encoder layout).
+/// parameter-name check rejects a mismatched encoder layout). A header
+/// whose configuration cannot build a model is [`CheckpointError::Corrupt`];
+/// one that cannot build under `spec` is [`CheckpointError::Mismatch`].
 pub fn load_model(
     path: &Path,
     spec: &lip_data::CovariateSpec,
 ) -> Result<crate::model::LiPFormer, CheckpointError> {
     use crate::forecaster::Forecaster;
     let (header, tensors) = load(path)?;
+    let config = &header.config;
+    config.check().map_err(|m| CheckpointError::Corrupt(format!("header config: {m}")))?;
+    config.check_for(spec).map_err(CheckpointError::Mismatch)?;
     let mut model = crate::model::LiPFormer::new(header.config.clone(), spec, 0);
     restore_into(&header, &tensors, model.store_mut())?;
     Ok(model)
@@ -504,6 +516,43 @@ mod tests {
         out.extend_from_slice(&new_json);
         out.extend_from_slice(&raw[8 + header_len..]);
         out
+    }
+
+    #[test]
+    fn short_frozen_list_is_corrupt_not_a_restore_panic() {
+        let cfg = LiPFormerConfig::small(24, 8, 1);
+        let model = LiPFormer::without_enriching(cfg.clone(), 2);
+        let path = tmp("short_frozen.ckpt");
+        save(&path, &cfg, model.store()).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        let short = rebuild_with_header(&raw, |fields| {
+            for (k, v) in fields.iter_mut() {
+                if k == "frozen" {
+                    *v = lip_serde::Json::Array(vec![]);
+                }
+            }
+        });
+        let names = model.store().len().to_string();
+        match load_bytes(&short) {
+            Err(CheckpointError::Corrupt(m)) => {
+                assert!(m.contains(" 0 ") && m.contains(&names), "{m}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|(h, _)| h.frozen)),
+        }
+    }
+
+    #[test]
+    fn load_model_rejects_an_unbuildable_header() {
+        let cfg = LiPFormerConfig::small(24, 8, 2);
+        let model = LiPFormer::new(cfg.clone(), &spec(), 3);
+        let mut hostile = cfg;
+        hostile.patch_len = 7; // 24 % 7 != 0: LiPFormer::new would panic
+        let path = tmp("unbuildable.ckpt");
+        save(&path, &hostile, model.store()).unwrap();
+        match load_model(&path, &spec()) {
+            Err(CheckpointError::Corrupt(m)) => assert!(m.contains("evenly divide"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.err()),
+        }
     }
 
     #[test]

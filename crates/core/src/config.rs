@@ -1,6 +1,8 @@
 //! LiPFormer hyperparameters (paper §IV-A2) plus the ablation switches used
 //! by Tables X and XI.
 
+use lip_data::CovariateSpec;
+
 /// Full model configuration.
 ///
 /// Paper defaults: `T = 720`, `pl = 48`, `hd = 512`, batch 256, dropout 0.5.
@@ -226,22 +228,66 @@ impl LiPFormerConfig {
         self.pred_len.div_ceil(self.patch_len)
     }
 
-    /// Panic on an inconsistent configuration.
+    /// Why this configuration cannot build a model, if it cannot. These are
+    /// the rules; [`LiPFormerConfig::validate`] panics with this message
+    /// and [`LiPFormerConfig::check_for`] adds the covariate-spec rules.
+    pub fn check(&self) -> Result<(), String> {
+        if self.seq_len == 0 || self.pred_len == 0 || self.channels == 0 {
+            return Err("seq_len, pred_len and channels must be positive".into());
+        }
+        if self.patch_len == 0 || !self.seq_len.is_multiple_of(self.patch_len) {
+            return Err(format!(
+                "patch_len {} must evenly divide seq_len {} (paper §IV-A2)",
+                self.patch_len, self.seq_len
+            ));
+        }
+        if self.hidden == 0 || self.heads == 0 || !self.hidden.is_multiple_of(self.heads) {
+            return Err(format!("hidden {} must divide by heads {}", self.hidden, self.heads));
+        }
+        if !(0.0..1.0).contains(&self.dropout) {
+            return Err(format!("dropout {} must be in [0, 1)", self.dropout));
+        }
+        if self.smooth_l1_beta.is_nan() || self.smooth_l1_beta <= 0.0 {
+            return Err("smooth_l1_beta must be positive".into());
+        }
+        if self.encoder_hidden == 0 {
+            return Err("encoder_hidden must be positive".into());
+        }
+        if self.stages.depth == 0 {
+            return Err("stages.depth must be >= 1".into());
+        }
+        Ok(())
+    }
+
+    /// [`LiPFormerConfig::check`] plus the rules the model constructor
+    /// asserts for the covariate spec `spec`: a configuration that passes
+    /// builds a `LiPFormer` under `spec` without panicking.
+    pub fn check_for(&self, spec: &CovariateSpec) -> Result<(), String> {
+        self.check()?;
+        // the encoder's dense input: explicit numerical covariates, else the
+        // implicit time features (categories alone have none)
+        let dense = if spec.has_explicit() {
+            spec.numerical
+        } else {
+            spec.time_features
+        };
+        if dense == 0 {
+            Err("the covariate encoder needs a numerical covariate or time feature".into())
+        } else if spec.cardinalities.contains(&0) {
+            Err("every categorical covariate needs a cardinality above 0".into())
+        } else if self.categorical_embed == 0 && !spec.cardinalities.is_empty() {
+            Err("categorical covariates need categorical_embed above 0".into())
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Panic on an inconsistent configuration, with
+    /// [`LiPFormerConfig::check`]'s message.
     pub fn validate(&self) {
-        assert!(self.seq_len > 0 && self.pred_len > 0 && self.channels > 0);
-        assert!(
-            self.patch_len > 0 && self.seq_len.is_multiple_of(self.patch_len),
-            "patch_len {} must evenly divide seq_len {} (paper §IV-A2)",
-            self.patch_len,
-            self.seq_len
-        );
-        assert!(self.hidden.is_multiple_of(self.heads), "hidden must divide by heads");
-        assert!((0.0..1.0).contains(&self.dropout));
-        assert!(self.smooth_l1_beta > 0.0);
-        assert!(
-            self.stages.depth >= 1,
-            "stage composition needs encoder depth >= 1"
-        );
+        if let Err(m) = self.check() {
+            panic!("{m}");
+        }
     }
 
     /// Builder: swap the stage composition.

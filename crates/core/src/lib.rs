@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod base_predictor;
 pub mod checkpoint;
 pub mod config;
 pub mod contrastive;
@@ -58,7 +57,6 @@ pub mod stages;
 pub mod target_encoder;
 pub mod trainer;
 
-pub use base_predictor::BasePredictor;
 pub use config::{ExtractKind, LiPFormerConfig, ProjKind, ReprKind, StageSpec};
 pub use contrastive::WeakEnriching;
 pub use covariate_encoder::CovariateEncoder;

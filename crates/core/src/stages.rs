@@ -651,6 +651,7 @@ pub fn registered_compositions() -> Vec<(&'static str, StageSpec)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lip_autograd::gradcheck::check_gradients;
     use lip_rng::SeedableRng;
     use lip_tensor::Tensor;
 
@@ -748,6 +749,150 @@ mod tests {
             count(&tst_cfg) > count(&default_cfg),
             "PatchTST-style extraction should out-weigh the paper's backbone"
         );
+    }
+
+    /// The canonical composition's test configuration.
+    fn canonical_cfg() -> LiPFormerConfig {
+        let mut c = LiPFormerConfig::small(24, 12, 2);
+        c.patch_len = 6;
+        c.hidden = 8;
+        c.heads = 2;
+        c.dropout = 0.0;
+        c
+    }
+
+    /// `x: [b, T, c] → [b, L, c]` through all three stages, in eval mode.
+    fn forecast(stages: &StageSet, g: &mut Graph, x: Var, rng: &mut StdRng) -> Var {
+        let repr = stages.repr.forward(g, x);
+        let h = stages.extract.forward(g, repr.tokens, false, rng);
+        stages.project.forward(g, h, &repr)
+    }
+
+    #[test]
+    fn forward_shape() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut store = ParamStore::new();
+        let stages = build_stages(&mut store, "bp", &canonical_cfg(), &mut rng);
+        let mut g = Graph::new(&store);
+        let x = g.constant(Tensor::randn(&[3, 24, 2], &mut rng));
+        let y = forecast(&stages, &mut g, x, &mut rng);
+        assert_eq!(g.shape(y), &[3, 12, 2]);
+    }
+
+    #[test]
+    fn ablation_variants_all_run() {
+        let mut rng = StdRng::seed_from_u64(2);
+        for (ln, ffn, cross, inter) in [
+            (true, false, true, true),
+            (false, true, true, true),
+            (true, true, true, true),
+            (false, false, false, true),
+            (false, false, true, false),
+            (false, false, false, false),
+        ] {
+            let mut c = canonical_cfg();
+            c.with_layer_norm = ln;
+            c.with_ffn = ffn;
+            c.use_cross_patch = cross;
+            c.use_inter_patch = inter;
+            let mut store = ParamStore::new();
+            let stages = build_stages(&mut store, "bp", &c, &mut rng);
+            let mut g = Graph::new(&store);
+            let x = g.constant(Tensor::randn(&[2, 24, 2], &mut rng));
+            let y = forecast(&stages, &mut g, x, &mut rng);
+            assert_eq!(g.shape(y), &[2, 12, 2]);
+            assert!(!g.value(y).has_non_finite());
+        }
+    }
+
+    #[test]
+    fn ffn_ablation_adds_parameters() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut plain_store = ParamStore::new();
+        let _ = build_stages(&mut plain_store, "bp", &canonical_cfg(), &mut rng);
+        let mut ffn_store = ParamStore::new();
+        let _ = build_stages(&mut ffn_store, "bp", &canonical_cfg().with_ffns(), &mut rng);
+        assert!(ffn_store.num_scalars() > plain_store.num_scalars());
+        // FFN adds 8·hd² + 5·hd
+        let hd = canonical_cfg().hidden;
+        assert_eq!(
+            ffn_store.num_scalars() - plain_store.num_scalars(),
+            8 * hd * hd + 5 * hd
+        );
+    }
+
+    #[test]
+    fn level_shift_equivariance() {
+        // Instance norm makes the backbone equivariant to constant offsets:
+        // predict(x + k) == predict(x) + k.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut store = ParamStore::new();
+        let stages = build_stages(&mut store, "bp", &canonical_cfg(), &mut rng);
+        let x = Tensor::randn(&[1, 24, 2], &mut rng);
+        let run = |input: Tensor| {
+            let mut rng2 = StdRng::seed_from_u64(0);
+            let mut g = Graph::new(&store);
+            let xv = g.constant(input);
+            let y = forecast(&stages, &mut g, xv, &mut rng2);
+            g.value(y).clone()
+        };
+        let y0 = run(x.clone());
+        let y1 = run(x.add_scalar(100.0));
+        let d = y1.sub(&y0.add_scalar(100.0)).abs().max_value();
+        assert!(d < 1e-2, "level-shift equivariance violated: {d}");
+    }
+
+    #[test]
+    fn channels_are_independent() {
+        // Changing channel 1's history must not affect channel 0's forecast.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let stages = build_stages(&mut store, "bp", &canonical_cfg(), &mut rng);
+        let x = Tensor::randn(&[1, 24, 2], &mut rng);
+        let mut x2 = x.clone();
+        for t in 0..24 {
+            x2.data_mut()[t * 2 + 1] += 7.0; // perturb channel 1 only
+        }
+        let run = |input: Tensor| {
+            let mut rng2 = StdRng::seed_from_u64(0);
+            let mut g = Graph::new(&store);
+            let xv = g.constant(input);
+            let y = forecast(&stages, &mut g, xv, &mut rng2);
+            g.value(y).clone()
+        };
+        let y0 = run(x);
+        let y1 = run(x2);
+        let ch0_diff = (0..12)
+            .map(|t| (y1.at(&[0, t, 0]) - y0.at(&[0, t, 0])).abs())
+            .fold(0.0f32, f32::max);
+        assert!(ch0_diff < 1e-5, "channel independence violated: {ch0_diff}");
+    }
+
+    #[test]
+    fn gradients_check_tiny() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut c = LiPFormerConfig::small(8, 4, 1);
+        c.patch_len = 4;
+        c.hidden = 4;
+        c.heads = 1;
+        c.dropout = 0.0;
+        let mut store = ParamStore::new();
+        let stages = build_stages(&mut store, "bp", &c, &mut rng);
+        let x = Tensor::randn(&[2, 8, 1], &mut rng).mul_scalar(0.5);
+        let y = Tensor::randn(&[2, 4, 1], &mut rng).mul_scalar(0.5);
+        check_gradients(
+            &mut store,
+            &move |g| {
+                let mut rng2 = StdRng::seed_from_u64(0);
+                let xv = g.constant(x.clone());
+                let yv = g.constant(y.clone());
+                let pred = forecast(&stages, g, xv, &mut rng2);
+                g.mse_loss(pred, yv)
+            },
+            1e-2,
+            4e-2,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -145,17 +145,14 @@ fn cmd_train(args: &Args) -> ExitCode {
 
 fn load_model(args: &Args) -> (LiPFormer, LiPFormerConfig) {
     let ckpt = args.get("model").unwrap_or_else(|| die("--model is required"));
-    let (header, tensors) =
-        checkpoint::load(Path::new(ckpt)).unwrap_or_else(|e| die(&format!("bad checkpoint: {e}")));
-    let config = header.config.clone();
     let spec = lip_data::CovariateSpec {
         numerical: 0,
         cardinalities: vec![],
         time_features: 4,
     };
-    let mut model = LiPFormer::new(config.clone(), &spec, 0);
-    checkpoint::restore_into(&header, &tensors, model.store_mut())
-        .unwrap_or_else(|e| die(&format!("checkpoint does not fit this model: {e}")));
+    let model = checkpoint::load_model(Path::new(ckpt), &spec)
+        .unwrap_or_else(|e| die(&format!("bad checkpoint: {e}")));
+    let config = model.config().clone();
     (model, config)
 }
 

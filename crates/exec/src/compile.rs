@@ -1,15 +1,18 @@
-//! Compilation: lifted plan → verified, parameter-laden [`CompiledModel`].
+//! Compilation: lifted plan → verified, lowered, parameter-laden
+//! [`CompiledModel`].
 //!
 //! The plan is lifted from the very model being compiled
 //! (`lip_analyze::plan_forward_loss` records it at `B = 1` and `B = 2` and
 //! checks the lift for every `B`), so the executor applies exactly the
 //! scalars, axes, slice bounds and gather channels the model recorded.
 //! Compilation then schedules the plan, proves the schedule sound
-//! statically, rejects any op the executor cannot lower, and packs the
-//! model's parameters in step order.
+//! statically, lowers every step once to a typed `Kernel` (an op it
+//! cannot lower is a [`CompileError::Unsupported`]), and packs the model's
+//! parameters in step order.
 
 use lip_analyze::{
-    plan_forward_loss, verify_schedule, InferenceSchedule, NodeAttr, PlanError, PlanVar, Storage,
+    plan_forward_loss, verify_schedule, InferenceSchedule, NodeAttr, PlanError, PlanVar, Step,
+    Storage,
 };
 use lip_data::CovariateSpec;
 use lipformer::{Forecaster, LiPFormer, LiPFormerConfig};
@@ -46,27 +49,149 @@ impl From<PlanError> for CompileError {
     }
 }
 
-/// Ops the executor can lower. Everything the inference schedule can emit
-/// must appear here; anything else is rejected at compile time, not at run
-/// time.
-const SUPPORTED: &[&str] = &[
-    "Leaf", "Param", "Add", "Sub", "Mul", "Div", "AddScalar", "MulScalar", "Neg", "MatMul",
-    "Permute", "Reshape", "SliceAxis", "Concat", "GatherRows", "Softmax", "LogSoftmax", "Relu",
-    "Gelu", "Sigmoid", "Tanh", "Sqrt", "Exp", "Ln", "Square", "Abs", "SumAxis", "MeanAxis",
-];
+/// The batch tensor a `Load` step copies into the arena. The covariate
+/// leaf reads explicit covariates or implicit temporal features
+/// (`WeakEnriching::covariate_input`), fixed by the spec at lowering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    X,
+    TimeFeats,
+    CovNumerical,
+}
+
+/// An elementwise function: a map head or a fused stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum MapFn {
+    AddScalar(f32),
+    MulScalar(f32),
+    Neg,
+    Relu,
+    Gelu,
+    Sigmoid,
+    Tanh,
+    Sqrt,
+    Exp,
+    Ln,
+    Square,
+    Abs,
+}
+
+/// A broadcasting binary function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ZipFn {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+/// What one schedule step runs, lowered once at compile time from its op
+/// name and `NodeAttr`; `bind` matches only on this.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Kernel {
+    /// Entry `k` of the parameter segment (a view, never written).
+    Param(usize),
+    Load(Source),
+    Permute(Vec<usize>),
+    Slice { axis: usize, start: usize },
+    /// A view when the input's strides admit the shape, else a gather.
+    Reshape,
+    Map(MapFn),
+    Zip(ZipFn),
+    MatMul,
+    Softmax { log: bool },
+    Reduce { axis: usize, mean: bool },
+    Concat { axis: usize },
+    /// Embedding lookup for categorical covariate channel `channel`.
+    GatherRows { channel: usize },
+}
+
+/// A lowered step: its kernel plus the fused elementwise chain applied per
+/// element at store time, in order.
+pub(crate) type Lowered = (Kernel, Vec<MapFn>);
+
+fn map_fn(op: &str, attr: &NodeAttr) -> Option<MapFn> {
+    Some(match (op, attr) {
+        ("AddScalar", NodeAttr::Scalar(s)) => MapFn::AddScalar(*s),
+        ("MulScalar", NodeAttr::Scalar(s)) => MapFn::MulScalar(*s),
+        ("Neg", _) => MapFn::Neg,
+        ("Relu", _) => MapFn::Relu,
+        ("Gelu", _) => MapFn::Gelu,
+        ("Sigmoid", _) => MapFn::Sigmoid,
+        ("Tanh", _) => MapFn::Tanh,
+        ("Sqrt", _) => MapFn::Sqrt,
+        ("Exp", _) => MapFn::Exp,
+        ("Ln", _) => MapFn::Ln,
+        ("Square", _) => MapFn::Square,
+        ("Abs", _) => MapFn::Abs,
+        _ => return None,
+    })
+}
+
+/// Lower one schedule step: the only place the executor reads an op name
+/// or a `NodeAttr`. `explicit` picks the covariate leaf's source;
+/// `gathers` counts the `GatherRows` steps lowered so far, which are the
+/// categorical channels in tape order.
+pub(crate) fn lower(
+    step: &Step,
+    explicit: bool,
+    gathers: &mut usize,
+) -> Result<Lowered, CompileError> {
+    let post = step
+        .fused
+        .iter()
+        .map(|f| {
+            map_fn(f.op, &f.attr).ok_or_else(|| {
+                CompileError::Unsupported(format!(
+                    "fused stage {} at node {} is not elementwise",
+                    f.op, f.node
+                ))
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    let kernel = match (step.op, &step.attr, step.storage) {
+        ("Param", _, Storage::Param(k)) => Kernel::Param(k),
+        ("Leaf", NodeAttr::Label("x"), _) => Kernel::Load(Source::X),
+        ("Leaf", NodeAttr::Label("covariate"), _) if explicit => Kernel::Load(Source::CovNumerical),
+        ("Leaf", NodeAttr::Label("covariate"), _) => Kernel::Load(Source::TimeFeats),
+        ("Permute", NodeAttr::Axes(axes), _) => Kernel::Permute(axes.clone()),
+        ("SliceAxis", &NodeAttr::Slice { axis, start, .. }, _) => Kernel::Slice { axis, start },
+        ("Reshape", ..) => Kernel::Reshape,
+        ("Add", ..) => Kernel::Zip(ZipFn::Add),
+        ("Sub", ..) => Kernel::Zip(ZipFn::Sub),
+        ("Mul", ..) => Kernel::Zip(ZipFn::Mul),
+        ("Div", ..) => Kernel::Zip(ZipFn::Div),
+        ("MatMul", ..) => Kernel::MatMul,
+        ("Softmax", ..) => Kernel::Softmax { log: false },
+        ("LogSoftmax", ..) => Kernel::Softmax { log: true },
+        ("SumAxis", &NodeAttr::Axis(axis), _) => Kernel::Reduce { axis, mean: false },
+        ("MeanAxis", &NodeAttr::Axis(axis), _) => Kernel::Reduce { axis, mean: true },
+        ("Concat", &NodeAttr::Axis(axis), _) => Kernel::Concat { axis },
+        ("GatherRows", ..) => {
+            *gathers += 1;
+            Kernel::GatherRows { channel: *gathers - 1 }
+        }
+        (op, attr, storage) => Kernel::Map(map_fn(op, attr).ok_or_else(|| {
+            CompileError::Unsupported(format!(
+                "op {op} at node {} ({attr:?}, stored as {storage:?}) has no executor lowering",
+                step.node
+            ))
+        })?),
+    };
+    Ok((kernel, post))
+}
 
 /// A verified inference program plus the parameter data it closes over.
 /// Shapes stay symbolic in the batch size: call [`CompiledModel::bind`] to
 /// lay out the arena for a concrete `B`.
 pub struct CompiledModel {
     pub(crate) schedule: InferenceSchedule,
+    /// Each schedule step, lowered.
+    pub(crate) kernels: Vec<Lowered>,
     /// Parameter segment of the arena, packed in step order.
     pub(crate) params: Vec<f32>,
     /// Element span of each parameter in the packed segment.
     pub(crate) param_ranges: Vec<(usize, usize)>,
-    /// Whether the covariate leaf reads explicit covariates or implicit
-    /// temporal features at run time (`WeakEnriching::covariate_input`).
-    pub(crate) explicit: bool,
     config: LiPFormerConfig,
 }
 
@@ -137,39 +262,15 @@ fn compile_with(
         ));
     }
 
-    for step in &schedule.steps {
-        if !SUPPORTED.contains(&step.op) {
-            return Err(CompileError::Unsupported(format!(
-                "op {} at node {} has no executor lowering",
-                step.op, step.node
-            )));
-        }
-        for f in &step.fused {
-            if !SUPPORTED.contains(&f.op) {
-                return Err(CompileError::Unsupported(format!(
-                    "fused stage {} at node {} has no executor lowering",
-                    f.op, f.node
-                )));
-            }
-        }
-        if step.op == "Leaf" {
-            match step.attr {
-                NodeAttr::Label("x") | NodeAttr::Label("covariate") => {}
-                ref other => {
-                    return Err(CompileError::Unsupported(format!(
-                        "leaf at node {} has no runtime source ({other:?})",
-                        step.node
-                    )));
-                }
-            }
-        }
-    }
-
-    // Parameters, packed in step (= tape) order: the plan names the model
-    // parameter behind every Param node the schedule references.
+    // Lower every step once, and pack the parameters in step (= tape)
+    // order: the plan names the model parameter behind every Param node
+    // the schedule references.
+    let mut gathers = 0;
+    let mut kernels = Vec::with_capacity(schedule.steps.len());
     let mut params = Vec::new();
     let mut param_ranges = Vec::with_capacity(schedule.params);
     for step in &schedule.steps {
+        kernels.push(lower(step, spec.has_explicit(), &mut gathers)?);
         if let Storage::Param(k) = step.storage {
             if k != param_ranges.len() {
                 return Err(CompileError::Invariant(vec![format!(
@@ -192,9 +293,57 @@ fn compile_with(
 
     Ok(CompiledModel {
         schedule,
+        kernels,
         params,
         param_ranges,
-        explicit: spec.has_explicit(),
         config,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lip_analyze::FusedStage;
+
+    fn step(op: &'static str, attr: NodeAttr, storage: Storage) -> Step {
+        let (shape, inputs, fused, dies_after) = (vec![], vec![], vec![], vec![]);
+        Step { node: 7, op, shape, inputs, attr, storage, fused, dies_after }
+    }
+
+    #[test]
+    fn unlowerable_steps_are_unsupported_naming_op_and_node() {
+        let mut fused_softmax = step("MatMul", NodeAttr::None, Storage::Slot(0));
+        fused_softmax.fused.push(FusedStage { node: 7, op: "Softmax", attr: NodeAttr::None });
+        for (step, op) in [
+            (step("Dropout", NodeAttr::None, Storage::Slot(0)), "Dropout"),
+            (step("Permute", NodeAttr::None, Storage::View), "Permute"),
+            (step("Param", NodeAttr::None, Storage::Slot(0)), "Param"),
+            (step("Leaf", NodeAttr::Label("y"), Storage::Slot(0)), "Leaf"),
+            (fused_softmax, "Softmax"),
+        ] {
+            match lower(&step, false, &mut 0) {
+                Err(CompileError::Unsupported(m)) => {
+                    assert!(m.contains(op) && m.contains("node 7"), "{m}")
+                }
+                other => panic!("{op}: expected Unsupported, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn lowering_fixes_leaf_sources_post_chains_and_gather_channels() {
+        let covariate = step("Leaf", NodeAttr::Label("covariate"), Storage::Slot(0));
+        let lowered = |step: &Step, explicit| lower(step, explicit, &mut 0).unwrap().0;
+        assert_eq!(lowered(&covariate, false), Kernel::Load(Source::TimeFeats));
+        assert_eq!(lowered(&covariate, true), Kernel::Load(Source::CovNumerical));
+        let mut scaled = step("MatMul", NodeAttr::None, Storage::Slot(0));
+        scaled.fused.push(FusedStage { node: 8, op: "MulScalar", attr: NodeAttr::Scalar(0.5) });
+        let (kernel, post) = lower(&scaled, false, &mut 0).unwrap();
+        assert_eq!((kernel, post), (Kernel::MatMul, vec![MapFn::MulScalar(0.5)]));
+        let (mut gathers, gather) = (0, step("GatherRows", NodeAttr::None, Storage::Slot(0)));
+        let channels: Vec<Kernel> =
+            (0..2).map(|_| lower(&gather, true, &mut gathers).unwrap().0).collect();
+        let expect = [Kernel::GatherRows { channel: 0 }, Kernel::GatherRows { channel: 1 }];
+        assert_eq!(channels, expect);
+    }
 }

@@ -11,13 +11,15 @@
 //! 1. [`compile_inference`] — lift the forward graph from two recordings of
 //!    the very model being compiled (checked for every `B` by the shared
 //!    shape rules), schedule it (DCE, liveness, slot pooling), verify the
-//!    schedule statically, and pack the model's parameters into the
-//!    arena's parameter segment. The result is a [`CompiledModel`] whose
-//!    shapes are affine in the batch size `B`: one compilation serves
-//!    every `B`.
+//!    schedule statically, lower each step once to a typed kernel (an op
+//!    with no lowering is a [`CompileError::Unsupported`]), and pack the
+//!    model's parameters into the arena's parameter segment. The result is
+//!    a [`CompiledModel`] whose shapes are affine in the batch size `B`:
+//!    one compilation serves every `B`.
 //! 2. [`CompiledModel::bind`] — evaluate the symbolic arena layout at a
-//!    concrete `B`: size the single allocation, resolve every step's views,
-//!    strides, scratch packing and liveness spans into a [`BoundModel`].
+//!    concrete `B`: size the single allocation, resolve every typed
+//!    kernel's views, strides, scratch packing and liveness spans into a
+//!    [`BoundModel`]. Bind reads no op name.
 //! 3. [`BoundModel::run`] — execute the step list against a batch. Kernels
 //!    are the *same* `lip_tensor::kernel` entry points the tape uses, so
 //!    outputs are byte-identical to `Graph`-recorded inference at any

@@ -14,6 +14,12 @@
 //!   as before. Packing gathers in logical order, so when it happens the
 //!   bytes equal the tape's `contiguous()` copy.
 //!
+//! `bind` reads only the typed `Kernel` compile lowered each step to (no
+//! op name, no `NodeAttr`) and resolves its operands into a `BoundStep`.
+//! Each bound step lists its arena reads and writes once, in
+//! `BoundStep::effects`; [`BoundModel::assert_no_aliasing`] and the
+//! debug-only shadow checker both walk that list.
+//!
 //! Every step writes through `write_out`, which splits the arena into
 //! `left | output | right` disjoint borrows. The scheduler guarantees an
 //! output slot is never also an operand of its own step (allocation happens
@@ -29,13 +35,13 @@
 //! through the same scalar expressions the separate passes would have used,
 //! preserving byte parity while eliminating whole-tensor round trips.
 
-use lip_analyze::{eval_shape, NodeAttr, Storage};
+use lip_analyze::{eval_shape, Storage};
 use lip_data::window::Batch;
 use lip_tensor::kernel::{self, ViewRef};
 use lip_tensor::shape::{contiguous_strides, is_row_major, numel, view_strides};
 use lip_tensor::{gelu_scalar, Tensor};
 
-use crate::compile::CompiledModel;
+use crate::compile::{CompiledModel, Kernel, MapFn, Source, ZipFn};
 
 /// A half-open element span `[start, end)` in the arena.
 type Span = (usize, usize);
@@ -66,11 +72,9 @@ impl Desc {
         is_row_major(&self.shape, &self.strides)
     }
 
-    /// Are the innermost rows unit-stride (what the tiled matmul kernel
-    /// needs from its rhs)? Mirrors `kernel::matmul_rows_dense`.
-    fn rows_dense(&self) -> bool {
-        let r = self.shape.len();
-        r >= 2 && (self.shape[r - 1] <= 1 || self.strides[r - 1] == 1)
+    /// A view of this operand's storage with a new layout.
+    fn view(&self, shape: Vec<usize>, strides: Vec<usize>, offset: usize) -> Desc {
+        Desc { shape, strides, offset, range: self.range }
     }
 }
 
@@ -82,45 +86,6 @@ struct PackedOperand {
     src: Desc,
     dense: Desc,
     packed: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum MapFn {
-    AddScalar(f32),
-    MulScalar(f32),
-    Neg,
-    Relu,
-    Gelu,
-    Sigmoid,
-    Tanh,
-    Sqrt,
-    Exp,
-    Ln,
-    Square,
-    Abs,
-}
-
-impl MapFn {
-    /// Lower a scheduled elementwise op (a map head or a fused stage) to
-    /// its executor function. The per-element expressions live in
-    /// [`apply_map`] / [`run_map`].
-    fn from_stage(op: &str, attr: &NodeAttr) -> MapFn {
-        match (op, attr) {
-            ("AddScalar", NodeAttr::Scalar(s)) => MapFn::AddScalar(*s),
-            ("MulScalar", NodeAttr::Scalar(s)) => MapFn::MulScalar(*s),
-            ("Neg", _) => MapFn::Neg,
-            ("Relu", _) => MapFn::Relu,
-            ("Gelu", _) => MapFn::Gelu,
-            ("Sigmoid", _) => MapFn::Sigmoid,
-            ("Tanh", _) => MapFn::Tanh,
-            ("Sqrt", _) => MapFn::Sqrt,
-            ("Exp", _) => MapFn::Exp,
-            ("Ln", _) => MapFn::Ln,
-            ("Square", _) => MapFn::Square,
-            ("Abs", _) => MapFn::Abs,
-            (op, attr) => panic!("{op} with attr {attr:?} is not an elementwise stage"),
-        }
-    }
 }
 
 /// One elementwise stage, exactly as the tape's separate pass would compute
@@ -151,38 +116,62 @@ fn apply_post(mut v: f32, post: &[MapFn]) -> f32 {
     v
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ZipFn {
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
+/// A step's kernel with every operand resolved to an arena [`Desc`].
 #[derive(Debug)]
-enum BoundStep {
+enum BoundOp {
     /// Views, params: resolved entirely at bind time.
     Nop,
-    LoadX { dst: Desc },
-    LoadCovariate { dst: Desc },
+    Load(Source),
     /// A `Reshape` whose input strides do not admit the target shape.
-    Materialize { src: Desc, dst: Desc },
-    Map { src: Desc, f: MapFn, post: Vec<MapFn>, dst: Desc },
-    Zip { a: Desc, b: Desc, f: ZipFn, post: Vec<MapFn>, dst: Desc },
+    Materialize { src: Desc },
+    Map { src: Desc, f: MapFn, post: Vec<MapFn> },
+    Zip { a: Desc, b: Desc, f: ZipFn, post: Vec<MapFn> },
     /// `a` is read through its strides (never packed); `b` packs into
     /// scratch only when its rows are not unit-stride. `post` is the fused
     /// elementwise chain applied per element at store time.
-    MatMul { a: Desc, b: PackedOperand, post: Vec<MapFn>, dst: Desc },
-    Softmax { src: PackedOperand, width: usize, log: bool, dst: Desc },
-    Reduce { src: PackedOperand, axis: usize, mean_scale: Option<f32>, dst: Desc },
-    Concat { parts: Vec<PackedOperand>, axis: usize, outer: usize, inner: usize, dst: Desc },
-    GatherRows { table: Desc, channel: usize, dst: Desc },
+    MatMul { a: Desc, b: PackedOperand, post: Vec<MapFn> },
+    Softmax { src: PackedOperand, width: usize, log: bool },
+    Reduce { src: PackedOperand, axis: usize, mean_scale: Option<f32> },
+    Concat { parts: Vec<PackedOperand>, axis: usize, outer: usize, inner: usize },
+    GatherRows { table: Desc, channel: usize },
 }
 
-struct Exec {
-    step: BoundStep,
+/// One step of a bound program.
+#[derive(Debug)]
+struct BoundStep {
+    op: BoundOp,
+    /// The step's value: the span it writes, or for a `Nop` the view or
+    /// parameter it names.
+    out: Desc,
     /// Full physical spans of slots dead after this step (poison targets).
-    dies: Vec<(usize, usize)>,
+    dies: Vec<Span>,
+}
+
+impl BoundStep {
+    /// Every arena access of this step as `(spans read, span written)`, in
+    /// execution order: each operand pack before the kernel that reads it.
+    /// Views and parameters access nothing.
+    fn effects(&self) -> Vec<(Vec<Span>, Span)> {
+        let mut effects = Vec::new();
+        let mut pack = |p: &PackedOperand| {
+            if p.packed {
+                effects.push((vec![p.src.range], p.dense.range));
+            }
+            p.dense.range
+        };
+        let reads = match &self.op {
+            BoundOp::Nop => return effects,
+            BoundOp::Load(_) => vec![],
+            BoundOp::Materialize { src } | BoundOp::Map { src, .. } => vec![src.range],
+            BoundOp::Zip { a, b, .. } => vec![a.range, b.range],
+            BoundOp::MatMul { a, b, .. } => vec![a.range, pack(b)],
+            BoundOp::Softmax { src, .. } | BoundOp::Reduce { src, .. } => vec![pack(src)],
+            BoundOp::Concat { parts, .. } => parts.iter().map(&mut pack).collect(),
+            BoundOp::GatherRows { table, .. } => vec![table.range],
+        };
+        effects.push((reads, self.out.range));
+        effects
+    }
 }
 
 /// A [`CompiledModel`] laid out for one concrete batch size: the arena is
@@ -190,7 +179,7 @@ struct Exec {
 /// [`BoundModel::run`] is a straight walk over the step list.
 pub struct BoundModel {
     arena: Vec<f32>,
-    steps: Vec<Exec>,
+    steps: Vec<BoundStep>,
     pred: Desc,
     params_end: usize,
     /// End of the pooled-slot segment (scratch begins here). The shadow
@@ -198,7 +187,6 @@ pub struct BoundModel {
     /// non-live storage) from scratch writes (freely reused every step).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     slots_end: usize,
-    explicit: bool,
     batch_size: usize,
 }
 
@@ -221,197 +209,107 @@ impl CompiledModel {
 
         let mut descs: Vec<Option<Desc>> = vec![None; sched.pred + 1];
         let mut steps = Vec::with_capacity(sched.steps.len());
-        let mut gather_channel = 0usize;
 
-        for step in &sched.steps {
+        for (step, (lowered, post)) in sched.steps.iter().zip(&self.kernels) {
             let shape = eval_shape(&step.shape, b);
             let inputs: Vec<Desc> = step
                 .inputs
                 .iter()
                 .map(|&i| descs[i].clone().expect("input scheduled before use"))
                 .collect();
-            let post: Vec<MapFn> =
-                step.fused.iter().map(|f| MapFn::from_stage(f.op, &f.attr)).collect();
-            let slot_start = || match step.storage {
-                Storage::Slot(id) | Storage::ViewOrSlot(id) => slot_span[id].0,
-                ref other => panic!("op {} stored as {other:?} owns no slot", step.op),
-            };
+            let post = post.clone();
             let mut scratch = slots_end;
-            let mut pack = |d: &Desc| -> PackedOperand {
-                if d.is_contiguous() {
-                    PackedOperand { src: d.clone(), dense: d.clone(), packed: false }
+            // `d` as a kernel operand, packed into scratch unless the
+            // kernel can read it in place
+            let mut pack = |d: &Desc, in_place: bool| -> PackedOperand {
+                let dense = if in_place {
+                    d.clone()
                 } else {
                     let dense = Desc::dense(d.shape.clone(), scratch);
                     scratch = dense.range.1;
-                    PackedOperand { src: d.clone(), dense, packed: true }
-                }
+                    dense
+                };
+                PackedOperand { src: d.clone(), dense, packed: !in_place }
             };
 
-            let (desc, bound) = match step.op {
-                "Param" => {
-                    let k = match step.storage {
-                        Storage::Param(k) => k,
-                        ref other => panic!("Param stored as {other:?}"),
-                    };
-                    let (start, end) = self.param_ranges[k];
+            // a view or a parameter names its value; every other kernel
+            // writes a fresh one into the step's slot
+            let (view, op) = match lowered {
+                Kernel::Param(k) => {
+                    let (start, end) = self.param_ranges[*k];
                     debug_assert_eq!(end - start, numel(&shape));
-                    (Desc::dense(shape, start), BoundStep::Nop)
+                    (Some(Desc::dense(shape.clone(), start)), BoundOp::Nop)
                 }
-                "Leaf" => {
-                    let dst = Desc::dense(shape, slot_start());
-                    let load = match step.attr {
-                        NodeAttr::Label("x") => BoundStep::LoadX { dst: dst.clone() },
-                        NodeAttr::Label("covariate") => {
-                            BoundStep::LoadCovariate { dst: dst.clone() }
-                        }
-                        ref other => panic!("leaf with no runtime source: {other:?}"),
-                    };
-                    (dst, load)
-                }
-                "Permute" => {
-                    let axes = match &step.attr {
-                        NodeAttr::Axes(a) => a,
-                        other => panic!("Permute without axes: {other:?}"),
-                    };
+                Kernel::Permute(axes) => {
                     let src = &inputs[0];
                     let strides: Vec<usize> = axes.iter().map(|&a| src.strides[a]).collect();
                     debug_assert_eq!(
                         shape,
                         axes.iter().map(|&a| src.shape[a]).collect::<Vec<_>>()
                     );
-                    let d = Desc { shape, strides, offset: src.offset, range: src.range };
-                    (d, BoundStep::Nop)
+                    (Some(src.view(shape.clone(), strides, src.offset)), BoundOp::Nop)
                 }
-                "SliceAxis" => {
-                    let (axis, start) = match step.attr {
-                        NodeAttr::Slice { axis, start, .. } => (axis, start),
-                        ref other => panic!("SliceAxis without range: {other:?}"),
-                    };
+                Kernel::Slice { axis, start } => {
                     let src = &inputs[0];
-                    let d = Desc {
-                        shape,
-                        strides: src.strides.clone(),
-                        offset: src.offset + start * src.strides[axis],
-                        range: src.range,
-                    };
-                    (d, BoundStep::Nop)
+                    let offset = src.offset + start * src.strides[*axis];
+                    (Some(src.view(shape.clone(), src.strides.clone(), offset)), BoundOp::Nop)
                 }
-                "Reshape" => {
+                Kernel::Reshape => {
                     let src = &inputs[0];
                     match view_strides(&src.shape, &src.strides, &shape) {
                         Some(strides) => {
-                            let d = Desc {
-                                shape,
-                                strides,
-                                offset: src.offset,
-                                range: src.range,
-                            };
-                            (d, BoundStep::Nop)
+                            (Some(src.view(shape.clone(), strides, src.offset)), BoundOp::Nop)
                         }
-                        None => {
-                            let dst = Desc::dense(shape, slot_start());
-                            (dst.clone(), BoundStep::Materialize { src: src.clone(), dst })
-                        }
+                        None => (None, BoundOp::Materialize { src: src.clone() }),
                     }
                 }
-                "AddScalar" | "MulScalar" | "Neg" | "Relu" | "Gelu" | "Sigmoid" | "Tanh"
-                | "Sqrt" | "Exp" | "Ln" | "Square" | "Abs" => {
-                    let f = MapFn::from_stage(step.op, &step.attr);
-                    let dst = Desc::dense(shape, slot_start());
-                    (dst.clone(), BoundStep::Map { src: inputs[0].clone(), f, post, dst })
+                Kernel::Load(source) => (None, BoundOp::Load(*source)),
+                Kernel::Map(f) => (None, BoundOp::Map { src: inputs[0].clone(), f: *f, post }),
+                Kernel::Zip(f) => {
+                    let (a, b) = (inputs[0].clone(), inputs[1].clone());
+                    (None, BoundOp::Zip { a, b, f: *f, post })
                 }
-                "Add" | "Sub" | "Mul" | "Div" => {
-                    let f = match step.op {
-                        "Add" => ZipFn::Add,
-                        "Sub" => ZipFn::Sub,
-                        "Mul" => ZipFn::Mul,
-                        _ => ZipFn::Div,
-                    };
-                    let dst = Desc::dense(shape, slot_start());
-                    let bound = BoundStep::Zip {
-                        a: inputs[0].clone(),
-                        b: inputs[1].clone(),
-                        f,
-                        post,
-                        dst: dst.clone(),
-                    };
-                    (dst, bound)
-                }
-                "MatMul" => {
+                Kernel::MatMul => {
                     // the tiled kernel reads the lhs through its strides;
                     // the rhs packs only when its rows are not unit-stride
                     // (the attention K-transpose) — everything else is read
                     // in place
-                    let a = inputs[0].clone();
-                    let b = if inputs[1].rows_dense() {
-                        PackedOperand {
-                            src: inputs[1].clone(),
-                            dense: inputs[1].clone(),
-                            packed: false,
-                        }
-                    } else {
-                        pack(&inputs[1])
-                    };
-                    let dst = Desc::dense(shape, slot_start());
-                    (dst.clone(), BoundStep::MatMul { a, b, post, dst })
+                    let rhs = &inputs[1];
+                    let b = pack(rhs, kernel::matmul_rows_dense(&rhs.shape, &rhs.strides));
+                    (None, BoundOp::MatMul { a: inputs[0].clone(), b, post })
                 }
-                "Softmax" | "LogSoftmax" => {
-                    let src = pack(&inputs[0]);
+                Kernel::Softmax { log } => {
                     let width = *shape.last().expect("softmax on a scalar");
-                    let dst = Desc::dense(shape, slot_start());
-                    let bound = BoundStep::Softmax {
-                        src,
-                        width,
-                        log: step.op == "LogSoftmax",
-                        dst: dst.clone(),
-                    };
-                    (dst, bound)
+                    let src = pack(&inputs[0], inputs[0].is_contiguous());
+                    (None, BoundOp::Softmax { src, width, log: *log })
                 }
-                "SumAxis" | "MeanAxis" => {
-                    let axis = match step.attr {
-                        NodeAttr::Axis(a) => a,
-                        ref other => panic!("{} without axis: {other:?}", step.op),
-                    };
-                    let src = pack(&inputs[0]);
+                Kernel::Reduce { axis, mean } => {
+                    let src = pack(&inputs[0], inputs[0].is_contiguous());
                     // same expression as Tensor::mean_axis applies to the sum
-                    let mean_scale = (step.op == "MeanAxis")
-                        .then(|| 1.0 / (src.src.shape[axis] as f32));
-                    let dst = Desc::dense(shape, slot_start());
-                    let bound =
-                        BoundStep::Reduce { src, axis, mean_scale, dst: dst.clone() };
-                    (dst, bound)
+                    let mean_scale = mean.then(|| 1.0 / (src.src.shape[*axis] as f32));
+                    (None, BoundOp::Reduce { src, axis: *axis, mean_scale })
                 }
-                "Concat" => {
-                    let axis = match step.attr {
-                        NodeAttr::Axis(a) => a,
-                        ref other => panic!("Concat without axis: {other:?}"),
-                    };
-                    let parts: Vec<PackedOperand> = inputs.iter().map(&mut pack).collect();
-                    let outer: usize = shape[..axis].iter().product();
+                Kernel::Concat { axis } => {
+                    let parts = inputs.iter().map(|d| pack(d, d.is_contiguous())).collect();
+                    let outer: usize = shape[..*axis].iter().product();
                     let inner: usize = shape[axis + 1..].iter().product();
-                    let dst = Desc::dense(shape, slot_start());
-                    let bound =
-                        BoundStep::Concat { parts, axis, outer, inner, dst: dst.clone() };
-                    (dst, bound)
+                    (None, BoundOp::Concat { parts, axis: *axis, outer, inner })
                 }
-                "GatherRows" => {
+                Kernel::GatherRows { channel } => {
                     let table = inputs[0].clone();
                     debug_assert_eq!(table.shape.len(), 2, "embedding table must be rank 2");
-                    let dst = Desc::dense(shape, slot_start());
-                    let bound = BoundStep::GatherRows {
-                        table,
-                        channel: gather_channel,
-                        dst: dst.clone(),
-                    };
-                    gather_channel += 1;
-                    (dst, bound)
+                    (None, BoundOp::GatherRows { table, channel: *channel })
                 }
-                other => panic!("op {other} escaped compile-time support checks"),
             };
+            let out = view.unwrap_or_else(|| match step.storage {
+                Storage::Slot(id) | Storage::ViewOrSlot(id) => Desc::dense(shape, slot_span[id].0),
+                ref other => panic!("node {} stored as {other:?} owns no slot", step.node),
+            });
             scratch_peak = scratch_peak.max(scratch - slots_end);
-            descs[step.node] = Some(desc);
-            steps.push(Exec {
-                step: bound,
+            descs[step.node] = Some(out.clone());
+            steps.push(BoundStep {
+                op,
+                out,
                 dies: step.dies_after.iter().map(|&id| slot_span[id]).collect(),
             });
         }
@@ -425,7 +323,6 @@ impl CompiledModel {
             pred,
             params_end,
             slots_end,
-            explicit: self.explicit,
             batch_size: b,
         }
     }
@@ -453,37 +350,23 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     fn view<'s>(&'s self, d: &'s Desc) -> ViewRef<'s> {
-        if d.range.1 <= self.left.len() {
-            ViewRef { data: self.left, offset: d.offset, shape: &d.shape, strides: &d.strides }
+        let (data, offset) = if d.range.1 <= self.left.len() {
+            (self.left, d.offset)
         } else {
             assert!(
                 d.range.0 >= self.right_base,
                 "executor aliasing: input span {:?} overlaps the output",
                 d.range
             );
-            ViewRef {
-                data: self.right,
-                offset: d.offset - self.right_base,
-                shape: &d.shape,
-                strides: &d.strides,
-            }
-        }
+            (self.right, d.offset - self.right_base)
+        };
+        ViewRef { data, offset, shape: &d.shape, strides: &d.strides }
     }
 
     fn dense<'s>(&'s self, d: &'s Desc) -> &'s [f32] {
         debug_assert!(d.is_contiguous(), "dense() on strided desc {d:?}");
-        let n = numel(&d.shape);
-        if d.range.1 <= self.left.len() {
-            &self.left[d.offset..d.offset + n]
-        } else {
-            assert!(
-                d.range.0 >= self.right_base,
-                "executor aliasing: input span {:?} overlaps the output",
-                d.range
-            );
-            let o = d.offset - self.right_base;
-            &self.right[o..o + n]
-        }
+        let v = self.view(d);
+        &v.data[v.offset..v.offset + numel(&d.shape)]
     }
 }
 
@@ -535,15 +418,6 @@ fn run_zip(
     }
 }
 
-fn load_batch_tensor(arena: &mut [f32], src: &Tensor, dst: &Desc, what: &str) {
-    assert_eq!(
-        src.shape(),
-        &dst.shape[..],
-        "batch {what} shape does not match the compiled plan"
-    );
-    write_out(arena, dst.range, |_, out| kernel::gather_into(src.view_ref(), out));
-}
-
 fn pack_operand(arena: &mut [f32], p: &PackedOperand) {
     if p.packed {
         write_out(arena, p.dense.range, |r, out| kernel::gather_into(r.view(&p.src), out));
@@ -579,33 +453,38 @@ impl BoundModel {
         if let Some(p) = poison {
             arena[self.params_end..].fill(p);
         }
-        for exec in &self.steps {
-            match &exec.step {
-                BoundStep::Nop => {}
-                BoundStep::LoadX { dst } => load_batch_tensor(arena, &batch.x, dst, "x"),
-                BoundStep::LoadCovariate { dst } => {
-                    let src = if self.explicit {
-                        batch
+        for step in &self.steps {
+            let dst = &step.out;
+            match &step.op {
+                BoundOp::Nop => {}
+                BoundOp::Load(source) => {
+                    let src = match source {
+                        Source::X => &batch.x,
+                        Source::TimeFeats => &batch.time_feats,
+                        Source::CovNumerical => batch
                             .cov_numerical
                             .as_ref()
-                            .expect("compiled for explicit covariates; batch has none")
-                    } else {
-                        &batch.time_feats
+                            .expect("compiled for explicit covariates; batch has none"),
                     };
-                    load_batch_tensor(arena, src, dst, "covariate");
+                    assert_eq!(
+                        src.shape(),
+                        &dst.shape[..],
+                        "batch {source:?} shape does not match the compiled plan"
+                    );
+                    write_out(arena, dst.range, |_, out| kernel::gather_into(src.view_ref(), out));
                 }
-                BoundStep::Materialize { src, dst } => {
+                BoundOp::Materialize { src } => {
                     write_out(arena, dst.range, |r, out| kernel::gather_into(r.view(src), out));
                 }
-                BoundStep::Map { src, f, post, dst } => {
+                BoundOp::Map { src, f, post } => {
                     write_out(arena, dst.range, |r, out| run_map(r.view(src), out, *f, post));
                 }
-                BoundStep::Zip { a, b, f, post, dst } => {
+                BoundOp::Zip { a, b, f, post } => {
                     write_out(arena, dst.range, |r, out| {
                         run_zip(r.view(a), r.view(b), &dst.shape, out, *f, post)
                     });
                 }
-                BoundStep::MatMul { a, b, post, dst } => {
+                BoundOp::MatMul { a, b, post } => {
                     pack_operand(arena, b);
                     write_out(arena, dst.range, |r, out| {
                         let (av, bv) = (r.view(a), r.view(&b.dense));
@@ -616,7 +495,7 @@ impl BoundModel {
                         }
                     });
                 }
-                BoundStep::Softmax { src, width, log, dst } => {
+                BoundOp::Softmax { src, width, log } => {
                     pack_operand(arena, src);
                     write_out(arena, dst.range, |r, out| {
                         let data = r.dense(&src.dense);
@@ -627,7 +506,7 @@ impl BoundModel {
                         }
                     });
                 }
-                BoundStep::Reduce { src, axis, mean_scale, dst } => {
+                BoundOp::Reduce { src, axis, mean_scale } => {
                     pack_operand(arena, src);
                     write_out(arena, dst.range, |r, out| {
                         kernel::axis_accumulate_into(
@@ -645,7 +524,7 @@ impl BoundModel {
                         }
                     });
                 }
-                BoundStep::Concat { parts, axis, outer, inner, dst } => {
+                BoundOp::Concat { parts, axis, outer, inner } => {
                     for p in parts {
                         pack_operand(arena, p);
                     }
@@ -657,7 +536,7 @@ impl BoundModel {
                         kernel::concat_packed_into(&packed, *outer, *inner, out);
                     });
                 }
-                BoundStep::GatherRows { table, channel, dst } => {
+                BoundOp::GatherRows { table, channel } => {
                     let chans = batch
                         .cov_categorical
                         .as_ref()
@@ -680,7 +559,7 @@ impl BoundModel {
                 }
             }
             if let Some(p) = poison {
-                for &(s, e) in &exec.dies {
+                for &(s, e) in &step.dies {
                     arena[s..e].fill(p);
                 }
             }
@@ -700,40 +579,11 @@ impl BoundModel {
     /// step). The split-borrow in `write_out` would panic at run time; this
     /// makes the property checkable without running a batch.
     pub fn assert_no_aliasing(&self) {
-        fn disjoint(a: Span, b: Span) -> bool {
-            a.1 <= b.0 || b.1 <= a.0
-        }
-        let check = |out: Span, reads: &[Span]| {
-            for &r in reads {
-                assert!(disjoint(out, r), "write span {out:?} aliases read span {r:?}");
-            }
-        };
-        let packs = |check: &dyn Fn(Span, &[Span]), p: &PackedOperand| {
-            if p.packed {
-                check(p.dense.range, &[p.src.range]);
-            }
-        };
-        for exec in &self.steps {
-            match &exec.step {
-                BoundStep::Nop | BoundStep::LoadX { .. } | BoundStep::LoadCovariate { .. } => {}
-                BoundStep::Materialize { src, dst } => check(dst.range, &[src.range]),
-                BoundStep::Map { src, dst, .. } => check(dst.range, &[src.range]),
-                BoundStep::Zip { a, b, dst, .. } => check(dst.range, &[a.range, b.range]),
-                BoundStep::MatMul { a, b, dst, .. } => {
-                    packs(&check, b);
-                    check(dst.range, &[a.range, b.dense.range]);
+        for step in &self.steps {
+            for (reads, w) in step.effects() {
+                for r in reads {
+                    assert!(r.1 <= w.0 || w.1 <= r.0, "write span {w:?} aliases read span {r:?}");
                 }
-                BoundStep::Softmax { src, dst, .. } | BoundStep::Reduce { src, dst, .. } => {
-                    packs(&check, src);
-                    check(dst.range, &[src.dense.range]);
-                }
-                BoundStep::Concat { parts, dst, .. } => {
-                    for p in parts {
-                        packs(&check, p);
-                        check(dst.range, &[p.dense.range]);
-                    }
-                }
-                BoundStep::GatherRows { table, dst, .. } => check(dst.range, &[table.range]),
             }
         }
     }
@@ -775,82 +625,35 @@ impl BoundModel {
         shadow[..self.params_end].fill(Shadow::Live);
         let mut violations = Vec::new();
 
-        for (k, exec) in self.steps.iter().enumerate() {
-            // (reads, write) spans per sub-action, in execution order:
-            // packs gather strided operands into scratch before the kernel.
-            let mut actions: Vec<(Vec<Span>, Option<Span>)> = Vec::new();
-            let pack = |actions: &mut Vec<_>, p: &PackedOperand| {
-                if p.packed {
-                    actions.push((vec![p.src.range], Some(p.dense.range)));
-                }
-            };
-            match &exec.step {
-                BoundStep::Nop => {}
-                BoundStep::LoadX { dst } | BoundStep::LoadCovariate { dst } => {
-                    actions.push((vec![], Some(dst.range)));
-                }
-                BoundStep::Materialize { src, dst } => {
-                    actions.push((vec![src.range], Some(dst.range)));
-                }
-                BoundStep::Map { src, dst, .. } => {
-                    actions.push((vec![src.range], Some(dst.range)));
-                }
-                BoundStep::Zip { a, b, dst, .. } => {
-                    actions.push((vec![a.range, b.range], Some(dst.range)));
-                }
-                BoundStep::MatMul { a, b, dst, .. } => {
-                    pack(&mut actions, b);
-                    actions.push((vec![a.range, b.dense.range], Some(dst.range)));
-                }
-                BoundStep::Softmax { src, dst, .. } | BoundStep::Reduce { src, dst, .. } => {
-                    pack(&mut actions, src);
-                    actions.push((vec![src.dense.range], Some(dst.range)));
-                }
-                BoundStep::Concat { parts, dst, .. } => {
-                    let mut reads = Vec::with_capacity(parts.len());
-                    for p in parts {
-                        pack(&mut actions, p);
-                        reads.push(p.dense.range);
-                    }
-                    actions.push((reads, Some(dst.range)));
-                }
-                BoundStep::GatherRows { table, dst, .. } => {
-                    actions.push((vec![table.range], Some(dst.range)));
-                }
-            }
-
-            for (reads, write) in actions {
-                for &(s, e) in &reads {
+        for (k, step) in self.steps.iter().enumerate() {
+            for (reads, (ws, we)) in step.effects() {
+                for (s, e) in reads {
                     if let Some(i) = (s..e).find(|&i| shadow[i] != Shadow::Live) {
                         violations.push(format!(
                             "step {k}: reads [{s}, {e}) but element {i} is {:?}",
                             shadow[i]
                         ));
                     }
-                    if let Some((ws, we)) = write {
-                        if s < we && ws < e {
-                            violations.push(format!(
-                                "step {k}: read span [{s}, {e}) overlaps write span [{ws}, {we})"
-                            ));
-                        }
-                    }
-                }
-                if let Some((ws, we)) = write {
-                    if ws < self.params_end {
+                    if s < we && ws < e {
                         violations.push(format!(
-                            "step {k}: write span [{ws}, {we}) clobbers the parameter segment"
+                            "step {k}: read span [{s}, {e}) overlaps write span [{ws}, {we})"
                         ));
-                    } else if we <= self.slots_end {
-                        // slot write = the pool handing this span to a new
-                        // value: nothing in it may still be live
-                        if let Some(i) = (ws..we).find(|&i| shadow[i] == Shadow::Live) {
-                            violations.push(format!(
-                                "step {k}: slot write [{ws}, {we}) clobbers live element {i}"
-                            ));
-                        }
                     }
-                    shadow[ws..we].fill(Shadow::Live);
                 }
+                if ws < self.params_end {
+                    violations.push(format!(
+                        "step {k}: write span [{ws}, {we}) clobbers the parameter segment"
+                    ));
+                } else if we <= self.slots_end {
+                    // slot write = the pool handing this span to a new
+                    // value: nothing in it may still be live
+                    if let Some(i) = (ws..we).find(|&i| shadow[i] == Shadow::Live) {
+                        violations.push(format!(
+                            "step {k}: slot write [{ws}, {we}) clobbers live element {i}"
+                        ));
+                    }
+                }
+                shadow[ws..we].fill(Shadow::Live);
             }
 
             // Mark dying spans dead. No double-free rule here: a pooled span
@@ -858,7 +661,7 @@ impl BoundModel {
             // without an intervening write, which is legitimate — double-free
             // detection needs slot identity and generations, and lives in the
             // static verifier (`lip_analyze::verify_schedule`).
-            for &(s, e) in &exec.dies {
+            for &(s, e) in &step.dies {
                 shadow[s..e].fill(Shadow::Dead);
             }
         }

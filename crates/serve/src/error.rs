@@ -58,10 +58,10 @@ pub enum ServeError {
         message: String,
     },
     /// The checkpoint's configuration, or the request's covariate spec,
-    /// failed `lip_analyze::validate_config` (rejected before any model is
+    /// failed `LiPFormerConfig::check_for` (rejected before any model is
     /// constructed).
     Config {
-        /// The planner's typed rejection.
+        /// The rule the configuration or spec broke.
         message: String,
     },
     /// The request's tensors do not satisfy the model's `BatchContract`.

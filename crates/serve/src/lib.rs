@@ -11,7 +11,7 @@
 //!    `lipformer::checkpoint` into a cache keyed by a content hash covering
 //!    the checkpoint's configuration, covariate spec and parameter bytes.
 //!    Every configuration and covariate spec is validated with
-//!    `lip_analyze::validate_config` *before* any model is constructed, so
+//!    `LiPFormerConfig::check_for` *before* any model is constructed, so
 //!    a malformed checkpoint or spec yields a typed error response, never a
 //!    panic. Concurrent first loads coalesce:
 //!    exactly one thread compiles, the rest block on the same slot.

@@ -6,9 +6,9 @@
 //! 1. read the checkpoint file and decode it (`checkpoint::load_bytes`) —
 //!    corrupt bundles return typed `CheckpointError`s;
 //! 2. validate the decoded configuration together with the request's
-//!    covariate spec with `lip_analyze::validate_config` — the
-//!    Result-typed mirror of `LiPFormerConfig::validate` and of the
-//!    model's covariate asserts, so a checkpoint header asking for an
+//!    covariate spec with `LiPFormerConfig::check_for` — the rules
+//!    `LiPFormerConfig::validate` and the model's covariate asserts
+//!    enforce, as a `Result`, so a checkpoint header asking for an
 //!    impossible architecture, or a spec the covariate encoder cannot take
 //!    (no dense input channel, a zero cardinality), is rejected *before*
 //!    `LiPFormer::new` (which asserts) ever runs;
@@ -360,8 +360,9 @@ impl SessionCache {
             })?;
         // typed validation BEFORE LiPFormer::new — a hostile header or
         // spec must never reach the constructor's asserts
-        lip_analyze::validate_config(&header.config, spec)
-            .map_err(|e| ServeError::Config { message: e.to_string() })?;
+        header.config.check_for(spec).map_err(|m| ServeError::Config {
+            message: format!("config rejected: {m}"),
+        })?;
 
         let config_json = lip_serde::to_string(&header.config);
         let key = fnv1a(config_json.as_bytes())

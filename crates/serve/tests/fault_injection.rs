@@ -450,6 +450,27 @@ fn hostile_checkpoints() {
     assert!(resp.body.contains(&header.param_names[0]), "body: {}", resp.body);
     b.assert_healthy("NaN weight in checkpoint");
 
+    // a header with fewer freeze flags than parameters: refused at decode,
+    // not a panic in the restore that reads one flag per parameter
+    let raw = std::fs::read(&b.fx.ckpt).expect("read fixture checkpoint");
+    let header_len = u32::from_le_bytes(raw[4..8].try_into().expect("4 bytes")) as usize;
+    let (mut header, _) = checkpoint::load_bytes(&raw).expect("decode fixture checkpoint");
+    header.frozen.clear();
+    let header_json = lip_serde::to_vec(&header);
+    let mut bundle = raw[..4].to_vec();
+    bundle.extend_from_slice(&(header_json.len() as u32).to_le_bytes());
+    bundle.extend_from_slice(&header_json);
+    bundle.extend_from_slice(&raw[8 + header_len..]);
+    let short = dir.join("short_frozen.ckpt");
+    std::fs::write(&short, bundle).expect("write short-frozen checkpoint");
+    let body = b
+        .good_body
+        .replace(&b.fx.ckpt.to_string_lossy().to_string(), &short.to_string_lossy());
+    let resp = common::post(addr, "/forecast", &body);
+    assert_eq!(resp.status, 422, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "bad_checkpoint", "body: {}", resp.body);
+    b.assert_healthy("short freeze-flag list in checkpoint");
+
     b.server.shutdown();
 }
 

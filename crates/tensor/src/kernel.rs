@@ -224,13 +224,14 @@ pub const MATMUL_TILE_N: usize = 8;
 /// register accumulators.
 pub const MATMUL_TILE_M: usize = 4;
 
-/// Can `v`'s innermost rows be streamed densely by the matmul micro-kernel?
-/// True when the last axis is unit-stride (or trivially short): outer axes
-/// may be arbitrarily strided or broadcast, only row interiors must be
-/// dense. Operands failing this must be packed before the kernel runs.
-pub fn matmul_rows_dense(v: &ViewRef<'_>) -> bool {
-    let r = v.shape.len();
-    r >= 2 && (v.shape[r - 1] <= 1 || v.strides[r - 1] == 1)
+/// Can a view's innermost rows be streamed densely by the matmul
+/// micro-kernel? True when the last axis is unit-stride (or trivially
+/// short): outer axes may be arbitrarily strided or broadcast, only row
+/// interiors must be dense. Operands failing this must be packed before
+/// the kernel runs.
+pub fn matmul_rows_dense(shape: &[usize], strides: &[usize]) -> bool {
+    let r = shape.len();
+    r >= 2 && (shape[r - 1] <= 1 || strides[r - 1] == 1)
 }
 
 /// Batched tiled matmul over strided rank ≥ 2 operands (leading axes
@@ -277,7 +278,7 @@ pub fn matmul_packed_into(
     debug_assert_eq!(ka, kb, "inner dims diverged from matmul_shapes");
     let k = ka;
     assert!(
-        matmul_rows_dense(&b),
+        matmul_rows_dense(b.shape, b.strides),
         "matmul rhs rows must be unit-stride (shape {:?}, strides {:?}); pack first",
         b.shape,
         b.strides

@@ -54,7 +54,7 @@ impl Tensor {
         assert!(a.rank() >= 2 && b.rank() >= 2);
         // The kernel reads the lhs through its strides; only a rhs whose
         // rows are not unit-stride must be packed dense first.
-        let b = if kernel::matmul_rows_dense(&b.view_ref()) {
+        let b = if kernel::matmul_rows_dense(b.shape(), b.strides()) {
             b
         } else {
             b.contiguous()
