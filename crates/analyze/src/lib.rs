@@ -39,7 +39,7 @@ pub use plan::{
     plan_contrastive, plan_forward_loss, validate_config, ContrastivePlan, ForwardPlan,
     NodeAttr, PlanError, PlanVar, SymNode, SymTape,
 };
-pub use schedule::{FusedStage, InferenceSchedule, Step, Storage};
+pub use schedule::{InferenceSchedule, Step, Storage};
 pub use sym::{eval_shape, fixed_shape, shape_to_string, SymDim, SymPoly, SymShape};
 pub use verify::{
     audit_kernel_source, check_chunk_ranges, verify_partition_bounded, verify_partition_symbolic,

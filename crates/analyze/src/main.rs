@@ -12,6 +12,7 @@
 //! usage or input error. `scripts/verify.sh` runs
 //! `--plan --lint --check-model` as a regression gate.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use lip_analyze::harness::{check_model, check_models, synthetic_batch};
@@ -43,19 +44,20 @@ modes (combine freely; at least one is required):
                          JSON; without it the nine synthetic benchmarks
                          are swept with their standard (48, 24) setup.
   --verify-plan          static schedule verification: prove def-before-use,
-                         slot liveness, arena bounds (symbolic, all B >= 1),
-                         and fusion legality over the nine benchmarks x
-                         architecture variants x both covariate policies x
-                         fused/unfused; prove lip-par chunk partitions
-                         pairwise disjoint (symbolic proof + bounded sweep);
-                         audit tensor kernel sources for mutation outside
-                         the disjoint-chunk API. Exit 1 on any finding.
+                         slot liveness and arena bounds (symbolic, all
+                         B >= 1) over the nine benchmarks x architecture
+                         variants x both covariate policies; prove lip-par
+                         chunk partitions pairwise disjoint (symbolic
+                         proof + bounded sweep); audit tensor kernel
+                         sources for mutation outside the disjoint-chunk
+                         API. Exit 1 on any finding.
 options:
   --batch N              batch size for recorded tapes (default 2, min 2)";
 
+/// Print `msg` and the usage text to stderr and exit 2. A failed write
+/// (stderr closed or full) is ignored: the exit code still reports it.
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("{USAGE}");
+    let _ = writeln!(std::io::stderr(), "error: {msg}\n{USAGE}");
     std::process::exit(2)
 }
 
@@ -208,8 +210,8 @@ fn lint_only(t: &Target) -> usize {
     findings.len()
 }
 
-/// Lift `config` under `spec`, then build and statically verify its fused
-/// and unfused schedules, printing every finding under `label`. Returns
+/// Lift `config` under `spec`, then build and statically verify its
+/// schedule, printing every finding under `label`. Returns
 /// `(findings, schedules verified)`.
 fn verify_schedules(label: &str, config: &LiPFormerConfig, spec: &CovariateSpec) -> (usize, usize) {
     let plan = match lift_plan(config, spec, false) {
@@ -219,26 +221,19 @@ fn verify_schedules(label: &str, config: &LiPFormerConfig, spec: &CovariateSpec)
             return (1, 0);
         }
     };
-    let (mut findings, mut verified) = (0, 0);
-    for (slabel, sched) in [
-        ("fused", InferenceSchedule::build(&plan)),
-        ("unfused", InferenceSchedule::build_unfused(&plan)),
-    ] {
-        match sched {
-            Ok(sched) => {
-                for f in verify_schedule(&plan, &sched) {
-                    println!("{label}/{slabel}: {f}");
-                    findings += 1;
-                }
-                verified += 1;
+    match InferenceSchedule::build(&plan) {
+        Ok(sched) => {
+            let findings = verify_schedule(&plan, &sched);
+            for f in &findings {
+                println!("{label}: {f}");
             }
-            Err(e) => {
-                println!("{label}/{slabel}: schedule rejected: {e}");
-                findings += 1;
-            }
+            (findings.len(), 1)
+        }
+        Err(e) => {
+            println!("{label}: schedule rejected: {e}");
+            (1, 0)
         }
     }
-    (findings, verified)
 }
 
 /// A named architecture tweak applied on top of a dataset's base config.
@@ -251,7 +246,7 @@ type ConfigVariant = fn(LiPFormerConfig) -> LiPFormerConfig;
 fn verify_plan_sweep() -> usize {
     let mut findings = 0usize;
 
-    // -- schedules: nine benchmarks x variants x policies x fused/unfused --
+    // -- schedules: nine benchmarks x variants x policies --
     let variants: [(&str, ConfigVariant); 7] = [
         ("default", |c| c),
         ("ln", LiPFormerConfig::with_ln),
@@ -282,15 +277,14 @@ fn verify_plan_sweep() -> usize {
     }
     println!(
         "schedules: {verified} verified (def-before-use, liveness, arena bounds \
-         for all B >= 1, fusion legality)"
+         for all B >= 1)"
     );
 
     // -- stage compositions: every registered stage triple, both policies --
     // Each composition gets the full treatment: the model check (plan lift,
-    // recorded-tape validation, lints) plus fused/unfused schedule
-    // verification, so a stage pair that records but does not lift, or
-    // lifts but cannot compile, is a finding, not a surprise at serving
-    // time.
+    // recorded-tape validation, lints) plus schedule verification, so a
+    // stage pair that records but does not lift, or lifts but cannot
+    // compile, is a finding, not a surprise at serving time.
     let mut comp_verified = 0usize;
     let compositions = lipformer::registered_compositions();
     for (clabel, stages) in &compositions {
@@ -309,7 +303,7 @@ fn verify_plan_sweep() -> usize {
     }
     println!(
         "stage compositions: {comp_verified} schedule(s) verified across {} \
-         registered compositions (plan lift + fused/unfused)",
+         registered compositions (plan lift + schedule)",
         compositions.len()
     );
 

@@ -21,44 +21,11 @@
 //!   are released, so an output can never alias an operand read by the same
 //!   step — the executor relies on this for its disjoint split-borrow.
 //!
-//! # Elementwise fusion
-//!
-//! Before storage classification, chains of single-consumer elementwise
-//! stages are folded into the step that produces their input. A node is a
-//! *fusable stage* when it is a unary elementwise op whose behaviour is
-//! fully described by its compile-time attribute (`MulScalar`, `Relu`,
-//! `Gelu`, …); it fuses onto a *head* — a map, a binary zip
-//! (`Add`/`Sub`/`Mul`/`Div`), or a `MatMul` — when the head's value has
-//! exactly one consumer (the stage) and is not the prediction output, i.e.
-//! the intermediate dies immediately and never needs to materialize. The
-//! fused chain is emitted as ONE [`Step`] at the tail's tape position,
-//! carrying the head's op/inputs/attr plus an ordered [`FusedStage`] list;
-//! the absorbed intermediates own no storage at all, so fusion shrinks the
-//! arena as well as the pass count. The executor applies the stages
-//! per-element at store time with the exact per-element expressions the
-//! tape would have used in separate passes, so fused output bytes are
-//! identical to unfused ones ([`InferenceSchedule::build_unfused`] exists
-//! so tests can prove that).
+//! Every kept plan node is one [`Step`]: the executor runs one kernel pass
+//! per node, so each step's value is a plan value a checker can name.
 
 use crate::plan::{ForwardPlan, NodeAttr, PlanError};
 use crate::sym::{affine_numel, SymDim, SymShape};
-
-/// Unary elementwise ops whose runtime behaviour is fully described by the
-/// node attribute — the fusable stages.
-const FUSABLE_STAGES: &[&str] = &[
-    "AddScalar", "MulScalar", "Neg", "Relu", "Gelu", "Sigmoid", "Tanh", "Sqrt", "Exp", "Ln",
-    "Square", "Abs",
-];
-
-fn is_stage(op: &str) -> bool {
-    FUSABLE_STAGES.contains(&op)
-}
-
-/// Ops a stage chain may start from: anything that already walks every
-/// output element exactly once and can apply an epilogue at store time.
-fn is_head(op: &str) -> bool {
-    is_stage(op) || matches!(op, "Add" | "Sub" | "Mul" | "Div" | "MatMul")
-}
 
 /// How a scheduled node's value is stored at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,38 +41,22 @@ pub enum Storage {
     ViewOrSlot(usize),
 }
 
-/// One elementwise stage folded into a fused step, applied per element at
-/// store time after the head op's value, in list order.
-#[derive(Debug, Clone)]
-pub struct FusedStage {
-    /// Plan-tape index of the absorbed node.
-    pub node: usize,
-    /// Op variant name of the stage (always one of `FUSABLE_STAGES`).
-    pub op: &'static str,
-    /// The stage's compile-time attribute (e.g. the `MulScalar` immediate).
-    pub attr: NodeAttr,
-}
-
-/// One executable step (plan-tape order, dead nodes removed).
+/// One executable step: one kept plan node (plan-tape order, dead nodes
+/// removed).
 #[derive(Debug, Clone)]
 pub struct Step {
-    /// Index of this node in the original plan tape. For a fused step this
-    /// is the *tail* of the chain — the node whose value the step produces.
+    /// Index of this node in the original plan tape.
     pub node: usize,
-    /// Op variant name (`lip_autograd::Op::name` spelling). For a fused
-    /// step: the chain's *head* op.
+    /// Op variant name (`lip_autograd::Op::name` spelling).
     pub op: &'static str,
     /// Symbolic output shape.
     pub shape: SymShape,
-    /// Plan-tape indices of the inputs (the head's inputs for a fused step).
+    /// Plan-tape indices of the inputs.
     pub inputs: Vec<usize>,
-    /// Compile-time attribute carried over from the plan (the head's).
+    /// Compile-time attribute carried over from the plan.
     pub attr: NodeAttr,
     /// Where the step's value lives in the arena.
     pub storage: Storage,
-    /// Elementwise stages fused onto this step's head op, applied in order
-    /// at store time. Empty for an ordinary step.
-    pub fused: Vec<FusedStage>,
     /// Physical slots whose last use is this step — dead (poisonable) as
     /// soon as the step's output is written.
     pub dies_after: Vec<usize>,
@@ -127,20 +78,8 @@ pub struct InferenceSchedule {
 }
 
 impl InferenceSchedule {
-    /// Schedule `plan` for tapeless execution, fusing elementwise chains
-    /// (see the module docs for the fusion rules).
+    /// Schedule `plan` for tapeless execution: one step per kept node.
     pub fn build(plan: &ForwardPlan) -> Result<InferenceSchedule, PlanError> {
-        Self::build_with(plan, true)
-    }
-
-    /// Schedule `plan` with fusion disabled: every kept node becomes its own
-    /// step. Differential tests use this to prove fused execution is
-    /// byte-identical to the one-pass-per-op program.
-    pub fn build_unfused(plan: &ForwardPlan) -> Result<InferenceSchedule, PlanError> {
-        Self::build_with(plan, false)
-    }
-
-    fn build_with(plan: &ForwardPlan, fuse: bool) -> Result<InferenceSchedule, PlanError> {
         let nodes = plan.tape.nodes();
         let n = nodes.len();
         let pred = plan.pred.0;
@@ -173,53 +112,13 @@ impl InferenceSchedule {
             }
         }
 
-        // 2. Elementwise fusion grouping: walk the tape in order, absorbing
-        // each fusable stage into its producer's chain when the producer's
-        // value has no other consumer. `head_of[t]` names the chain head,
-        // `chain[h]` lists absorbed stages in application order, and
-        // `absorbed[x]` marks nodes that will not be emitted (the tail of
-        // each chain stays un-absorbed and is emitted as the fused step).
-        let mut consumers = vec![0usize; n];
-        for (i, node) in nodes.iter().enumerate() {
-            if keep[i] {
-                for inp in &node.inputs {
-                    consumers[inp.0] += 1;
-                }
-            }
-        }
-        let mut head_of: Vec<usize> = (0..n).collect();
-        let mut absorbed = vec![false; n];
-        let mut chain: Vec<Vec<usize>> = vec![Vec::new(); n];
-        if fuse {
-            for t in 0..n {
-                if !keep[t] || !is_stage(nodes[t].op) || nodes[t].inputs.len() != 1 {
-                    continue;
-                }
-                let p = nodes[t].inputs[0].0;
-                // the intermediate must die immediately: sole consumer, and
-                // not the prediction output (which must materialize)
-                if !keep[p] || p == pred || consumers[p] != 1 {
-                    continue;
-                }
-                let h = head_of[p];
-                if !is_head(nodes[h].op) {
-                    continue;
-                }
-                head_of[t] = h;
-                absorbed[p] = true;
-                chain[h].push(t);
-            }
-        }
-
-        // 3. Storage classes and alias bases (transitive slot-owning roots).
-        // Absorbed nodes own nothing and are never referenced: a chain's
-        // interior edges exist only inside the fused step.
+        // 2. Storage classes and alias bases (transitive slot-owning roots).
         let mut params = 0usize;
         let mut storage: Vec<Option<Storage>> = vec![None; n];
         let mut owns_slot = vec![false; n];
         let mut bases: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in 0..n {
-            if !keep[i] || absorbed[i] {
+            if !keep[i] {
                 continue;
             }
             let node = &nodes[i];
@@ -248,21 +147,18 @@ impl InferenceSchedule {
             }
         }
 
-        // 4. Last use per slot owner, in tape order (creation counts too, so
-        // a slot never dies before its own step completes). A fused step
-        // reads its head's inputs at the *tail's* tape position, so operand
-        // lifetimes extend across the chain — the executor reads them when
-        // the fused pass actually runs.
+        // 3. Last use per slot owner, in tape order (creation counts too, so
+        // a slot never dies before its own step completes).
         const LIVE_FOREVER: usize = usize::MAX;
         let mut last_use = vec![0usize; n];
         for i in 0..n {
-            if !keep[i] || absorbed[i] {
+            if !keep[i] {
                 continue;
             }
             for &b in &bases[i] {
                 last_use[b] = i;
             }
-            for inp in &nodes[head_of[i]].inputs {
+            for inp in &nodes[i].inputs {
                 for &b in &bases[inp.0] {
                     last_use[b] = i;
                 }
@@ -278,21 +174,17 @@ impl InferenceSchedule {
             }
         }
 
-        // 5. Greedy LIFO physical-slot assignment + step emission. A fused
-        // chain emits one step at the tail's position: the head's op /
-        // inputs / attr, the tail's node id and shape (stages preserve
-        // shape), plus the ordered stage list.
+        // 4. Greedy LIFO physical-slot assignment + step emission.
         let mut free: Vec<usize> = Vec::new();
         let mut slot_sizes: Vec<Vec<SymDim>> = Vec::new();
         let mut phys: Vec<Option<usize>> = vec![None; n];
         let mut param_seen = 0usize;
         let mut steps = Vec::new();
         for i in 0..n {
-            if !keep[i] || absorbed[i] {
+            if !keep[i] {
                 continue;
             }
             let node = &nodes[i];
-            let head = &nodes[head_of[i]];
             // allocate the output slot BEFORE releasing anything dying here
             let st = if owns_slot[i] {
                 let size = affine_numel(&node.shape).ok_or_else(|| {
@@ -329,26 +221,13 @@ impl InferenceSchedule {
                 free.push(id);
                 dies_after.push(id);
             }
-            let fused: Vec<FusedStage> = chain[head_of[i]]
-                .iter()
-                .map(|&s| FusedStage { node: s, op: nodes[s].op, attr: nodes[s].attr.clone() })
-                .collect();
-            if let Some(f) = fused.last() {
-                if f.node != i {
-                    return Err(err(format!(
-                        "fused chain into node {i} ends at node {} instead of the emitted tail",
-                        f.node
-                    )));
-                }
-            }
             steps.push(Step {
                 node: i,
-                op: head.op,
+                op: node.op,
                 shape: node.shape.clone(),
-                inputs: head.inputs.iter().map(|v| v.0).collect(),
-                attr: head.attr.clone(),
+                inputs: node.inputs.iter().map(|v| v.0).collect(),
+                attr: node.attr.clone(),
                 storage: st,
-                fused,
                 dies_after,
             });
         }
@@ -364,13 +243,6 @@ impl InferenceSchedule {
             pred,
             params,
         })
-    }
-
-    /// Total elementwise stages folded into fused steps across the program
-    /// — the number of whole-tensor passes (and intermediate buffers) fusion
-    /// eliminated relative to [`InferenceSchedule::build_unfused`].
-    pub fn fused_ops(&self) -> usize {
-        self.steps.iter().map(|s| s.fused.len()).sum()
     }
 
     /// Total arena elements of the slot pool at batch `b` (excludes the
@@ -405,15 +277,9 @@ mod tests {
         let plan = plan_forward_loss(&model, &implicit_spec(), false).unwrap();
         let sched = InferenceSchedule::build(&plan).unwrap();
         // the loss head (target leaf + SmoothL1) is dead code for inference;
-        // every fused stage removes exactly one step beyond that
+        // every other node is one step
         assert!(sched.steps.iter().all(|s| s.op != "SmoothL1"));
-        assert_eq!(sched.steps.len(), plan.tape.len() - 2 - sched.fused_ops());
-        // the attention scale (MatMul → MulScalar) must fuse in every config
-        assert!(sched.fused_ops() > 0, "no elementwise chains fused");
-        assert!(sched
-            .steps
-            .iter()
-            .any(|s| s.op == "MatMul" && s.fused.iter().any(|f| f.op == "MulScalar")));
+        assert_eq!(sched.steps.len(), plan.tape.len() - 2);
         // liveness must enable reuse: fewer physical slots than slot owners
         let owners = sched
             .steps

@@ -2,11 +2,10 @@
 //! from the [`InferenceSchedule`] alone — symbolically in the batch size
 //! `B`, for **all** `B ≥ 1`, before a single float is computed.
 //!
-//! The compiled executor (`lip-exec`) trusts four scheduler claims and one
+//! The compiled executor (`lip-exec`) trusts three scheduler claims and one
 //! thread-pool claim. Each is re-proved here *independently* of the code
-//! that produced it (the checkers re-derive dead code, consumer counts and
-//! liveness from the [`ForwardPlan`] rather than reading the scheduler's
-//! internal state):
+//! that produced it (the checkers re-derive dataflow and liveness from the
+//! [`ForwardPlan`] rather than reading the scheduler's internal state):
 //!
 //! 1. **Def-before-use** ([`CheckClass::DefBeforeUse`]): every slot a step
 //!    reads — resolved through view chains to its physical owners — is
@@ -25,13 +24,7 @@
 //!    `p ≥ p'` and `p + f ≥ p' + f'`), and no step's write slot appears
 //!    among its read slots — concurrent read/write overlap is flagged
 //!    (there is no sanctioned in-place case in the current executor).
-//! 4. **Fusion legality** ([`CheckClass::FusionLegality`]): each
-//!    [`FusedStage`](crate::schedule::FusedStage) chain is re-derived from
-//!    the plan — every stage a
-//!    unary elementwise op from the fusable set, wired head → … → tail,
-//!    every absorbed intermediate single-consumer, never the prediction,
-//!    and never separately emitted.
-//! 5. **Partition disjointness** ([`CheckClass::PartitionDisjoint`],
+//! 4. **Partition disjointness** ([`CheckClass::PartitionDisjoint`],
 //!    [`CheckClass::KernelAudit`]): a static race detector over `lip-par`'s
 //!    pure chunking. [`verify_partition_symbolic`] proves, via a small
 //!    multivariate-polynomial certificate over non-negative symbols, that
@@ -43,10 +36,10 @@
 //!    all parallel mutation through the disjoint-window API and never look
 //!    up the core count.
 //!
-//! [`verify_schedule`] is the entry point for checks 1–4; `lip-exec` runs
+//! [`verify_schedule`] is the entry point for checks 1–3; `lip-exec` runs
 //! it during compilation and `lip-analyze --verify-plan` sweeps it across
 //! the nine benchmarks × architecture variants × covariate policies. The
-//! seeded-mutation tests (`crates/analyze/tests/verify_mutations.rs`)
+//! seeded-mutation tests (`tests/verify_mutations.rs`)
 //! corrupt schedules one invariant at a time and assert the intended
 //! checker class fires — the verifier is not vacuously green.
 
@@ -70,8 +63,6 @@ pub enum CheckClass {
     /// A write span that does not fit its slot for every `B ≥ 1`, or a
     /// read/write span overlap within one step.
     ArenaBounds,
-    /// A fused elementwise chain the plan does not justify.
-    FusionLegality,
     /// Chunk ranges that overlap, leave gaps, or miss the exact cover.
     PartitionDisjoint,
     /// A tensor kernel source mutating outside the disjoint-chunk API.
@@ -84,7 +75,6 @@ impl fmt::Display for CheckClass {
             CheckClass::DefBeforeUse => "def-before-use",
             CheckClass::Liveness => "liveness",
             CheckClass::ArenaBounds => "arena-bounds",
-            CheckClass::FusionLegality => "fusion-legality",
             CheckClass::PartitionDisjoint => "partition-disjoint",
             CheckClass::KernelAudit => "kernel-audit",
         };
@@ -119,18 +109,6 @@ pub fn dim_dominates(a: SymDim, b: SymDim) -> bool {
     a.per_batch >= b.per_batch && a.per_batch + a.fixed >= b.per_batch + b.fixed
 }
 
-/// The fusable-stage and chain-head op sets, restated here so fusion
-/// legality is judged against an *independent* copy of the rule rather
-/// than whatever list the scheduler happened to fuse with.
-const VERIFY_FUSABLE: &[&str] = &[
-    "AddScalar", "MulScalar", "Neg", "Relu", "Gelu", "Sigmoid", "Tanh", "Sqrt", "Exp", "Ln",
-    "Square", "Abs",
-];
-
-fn verify_is_head(op: &str) -> bool {
-    VERIFY_FUSABLE.contains(&op) || matches!(op, "Add" | "Sub" | "Mul" | "Div" | "MatMul")
-}
-
 /// Per-slot ownership generation tracked by the schedule walk.
 #[derive(Clone, Copy)]
 struct SlotGen {
@@ -138,8 +116,8 @@ struct SlotGen {
     last_touch: usize,
 }
 
-/// Prove checks 1–4 (def-before-use, liveness/aliasing, arena bounds,
-/// fusion legality) for `sched` against the `plan` it was built from.
+/// Prove checks 1–3 (def-before-use, liveness/aliasing, arena bounds) for
+/// `sched` against the `plan` it was built from.
 /// Returns every violation found; an empty vector is a proof that the
 /// schedule is safe to execute at **any** batch size `B ≥ 1`.
 pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<VerifyFinding> {
@@ -155,29 +133,6 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
         return findings;
     }
 
-    // Independent re-derivation of what inference needs: DCE from pred.
-    let mut keep = vec![false; n];
-    let mut stack = vec![pred];
-    while let Some(i) = stack.pop() {
-        if keep[i] {
-            continue;
-        }
-        keep[i] = true;
-        for inp in &nodes[i].inputs {
-            stack.push(inp.0);
-        }
-    }
-    // Consumer counts among kept nodes (each operand occurrence counts),
-    // the quantity fusion legality is judged by.
-    let mut consumers = vec![0usize; n];
-    for (i, node) in nodes.iter().enumerate() {
-        if keep[i] {
-            for inp in &node.inputs {
-                consumers[inp.0] += 1;
-            }
-        }
-    }
-
     let n_slots = sched.slot_sizes.len();
     // Walk state: which node's value currently lives in each physical slot,
     // whether the slot was ever written, and per-node read footprints
@@ -185,7 +140,6 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
     let mut live: Vec<Option<SlotGen>> = vec![None; n_slots];
     let mut ever_written = vec![false; n_slots];
     let mut node_bases: Vec<Option<Vec<(usize, usize)>>> = vec![None; n];
-    let mut emitted = vec![false; n];
     let mut params_seen = 0usize;
 
     for (k, step) in sched.steps.iter().enumerate() {
@@ -197,10 +151,35 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
             ));
             continue;
         }
-        emitted[step.node] = true;
 
-        // -- dataflow parity with the plan (and fused-chain legality) -----
-        let head = verify_step_dataflow(plan, sched, step, &here, &consumers, &emitted, &mut findings);
+        // -- dataflow parity with the plan: op, inputs, shape -------------
+        let planned = &nodes[step.node];
+        if step.op != planned.op {
+            findings.push(finding(
+                CheckClass::DefBeforeUse,
+                format!("{here}: scheduled as {} but planned as {}", step.op, planned.op),
+            ));
+        }
+        let planned_inputs: Vec<usize> = planned.inputs.iter().map(|v| v.0).collect();
+        if step.inputs != planned_inputs {
+            findings.push(finding(
+                CheckClass::DefBeforeUse,
+                format!(
+                    "{here}: inputs {:?} disagree with the plan's {planned_inputs:?}",
+                    step.inputs
+                ),
+            ));
+        }
+        if step.shape != planned.shape {
+            findings.push(finding(
+                CheckClass::DefBeforeUse,
+                format!(
+                    "{here}: scheduled shape {} disagrees with the plan's {}",
+                    shape_to_string(&step.shape),
+                    shape_to_string(&planned.shape)
+                ),
+            ));
+        }
 
         // -- reads: every base slot written, live, and owned as expected --
         let mut read_slots: Vec<usize> = Vec::new();
@@ -327,15 +306,6 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
 
         // -- record this node's read footprint for downstream steps -------
         node_bases[step.node] = Some(resolve_bases(step, &node_bases, &mut findings, &here));
-        // absorbed fused stages are reachable plan nodes too: a later step
-        // that (illegally) reads one would otherwise look undefined. Alias
-        // them to the tail's bases so the read check still resolves.
-        for f in &step.fused {
-            if f.node < n && f.node != step.node {
-                node_bases[f.node] = node_bases[step.node].clone();
-            }
-        }
-        let _ = head;
 
         // -- frees: dies_after must free exactly at last use --------------
         for &d in &step.dies_after {
@@ -449,144 +419,8 @@ fn resolve_bases(
     }
 }
 
-/// Check one step's dataflow against the plan: ops, inputs, shape, and —
-/// for fused steps — the full chain-legality re-derivation. Returns the
-/// chain head node (== `step.node` for unfused steps).
-fn verify_step_dataflow(
-    plan: &ForwardPlan,
-    sched: &InferenceSchedule,
-    step: &Step,
-    here: &str,
-    consumers: &[usize],
-    emitted: &[bool],
-    findings: &mut Vec<VerifyFinding>,
-) -> usize {
-    let nodes = plan.tape.nodes();
-    let tail = &nodes[step.node];
-
-    if step.shape != tail.shape {
-        findings.push(finding(
-            CheckClass::DefBeforeUse,
-            format!(
-                "{here}: scheduled shape {} disagrees with the plan's {}",
-                shape_to_string(&step.shape),
-                shape_to_string(&tail.shape)
-            ),
-        ));
-    }
-
-    if step.fused.is_empty() {
-        if step.op != tail.op {
-            findings.push(finding(
-                CheckClass::DefBeforeUse,
-                format!("{here}: scheduled as {} but planned as {}", step.op, tail.op),
-            ));
-        }
-        let planned: Vec<usize> = tail.inputs.iter().map(|v| v.0).collect();
-        if step.inputs != planned {
-            findings.push(finding(
-                CheckClass::DefBeforeUse,
-                format!("{here}: inputs {:?} disagree with the plan's {planned:?}", step.inputs),
-            ));
-        }
-        return step.node;
-    }
-
-    // Fused step: re-derive the chain from the plan. The head is the sole
-    // input of the first stage; the emitted step carries the head's op and
-    // inputs and produces the tail's value.
-    let first = &step.fused[0];
-    let head = match nodes.get(first.node).map(|nd| nd.inputs.as_slice()) {
-        Some([h]) => h.0,
-        _ => {
-            findings.push(finding(
-                CheckClass::FusionLegality,
-                format!("{here}: first fused stage (node {}) is not unary", first.node),
-            ));
-            return step.node;
-        }
-    };
-    if !verify_is_head(nodes[head].op) || step.op != nodes[head].op {
-        findings.push(finding(
-            CheckClass::FusionLegality,
-            format!(
-                "{here}: chain head node {head} ({}) is not a legal fusion head for a \
-                 step emitted as {}",
-                nodes[head].op, step.op
-            ),
-        ));
-    }
-    let planned: Vec<usize> = nodes[head].inputs.iter().map(|v| v.0).collect();
-    if step.inputs != planned {
-        findings.push(finding(
-            CheckClass::FusionLegality,
-            format!(
-                "{here}: fused step reads {:?} but the chain head's inputs are {planned:?}",
-                step.inputs
-            ),
-        ));
-    }
-    let mut prev = head;
-    for f in &step.fused {
-        let nd = &nodes[f.node];
-        if !VERIFY_FUSABLE.contains(&f.op) || f.op != nd.op {
-            findings.push(finding(
-                CheckClass::FusionLegality,
-                format!(
-                    "{here}: fused stage node {} recorded as {} but planned as {} (fusable \
-                     set: unary elementwise only)",
-                    f.node, f.op, nd.op
-                ),
-            ));
-        }
-        if nd.inputs.len() != 1 || nd.inputs[0].0 != prev {
-            findings.push(finding(
-                CheckClass::FusionLegality,
-                format!(
-                    "{here}: fused chain broken at node {} — its plan input is {:?}, not \
-                     the previous link {prev}",
-                    f.node,
-                    nd.inputs.iter().map(|v| v.0).collect::<Vec<_>>()
-                ),
-            ));
-        }
-        // every absorbed intermediate (head and non-tail stages) must die
-        // immediately: exactly one consumer, never the prediction
-        if consumers[prev] != 1 {
-            findings.push(finding(
-                CheckClass::FusionLegality,
-                format!(
-                    "{here}: fused intermediate node {prev} has {} consumers — fusing it \
-                     would skip a value another step still reads",
-                    consumers[prev]
-                ),
-            ));
-        }
-        if prev == sched.pred {
-            findings.push(finding(
-                CheckClass::FusionLegality,
-                format!("{here}: fused chain absorbs the prediction output (node {prev})"),
-            ));
-        }
-        if prev != head && emitted[prev] {
-            findings.push(finding(
-                CheckClass::FusionLegality,
-                format!("{here}: node {prev} is both fused into this step and emitted on its own"),
-            ));
-        }
-        prev = f.node;
-    }
-    if prev != step.node {
-        findings.push(finding(
-            CheckClass::FusionLegality,
-            format!("{here}: fused chain ends at node {prev}, not the emitted tail"),
-        ));
-    }
-    head
-}
-
 // ---------------------------------------------------------------------------
-// Check 5: partition disjointness — the static race detector for lip-par.
+// Check 4: partition disjointness — the static race detector for lip-par.
 // ---------------------------------------------------------------------------
 
 /// Check that `ranges` — in chunk order — are non-empty, pairwise disjoint,
@@ -909,17 +743,13 @@ mod tests {
             let config = LiPFormerConfig::small(48, 24, channels);
             let model = LiPFormer::new(config, &implicit_spec(), 0);
             let plan = plan_forward_loss(&model, &implicit_spec(), false).unwrap();
-            for sched in [
-                InferenceSchedule::build(&plan).unwrap(),
-                InferenceSchedule::build_unfused(&plan).unwrap(),
-            ] {
-                let findings = verify_schedule(&plan, &sched);
-                assert!(
-                    findings.is_empty(),
-                    "clean schedule flagged: {:#?}",
-                    findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
-                );
-            }
+            let sched = InferenceSchedule::build(&plan).unwrap();
+            let findings = verify_schedule(&plan, &sched);
+            assert!(
+                findings.is_empty(),
+                "clean schedule flagged: {:#?}",
+                findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+            );
         }
     }
 

@@ -10,7 +10,7 @@
 //!   copy counters (`pack_copied` is the matmul-packing traffic the tiled
 //!   kernel is supposed to eliminate);
 //! * **exec** (`lip-exec` compiled arena program) — serial and full-budget
-//!   per-forward CPU times, the fused-op count, and the arena footprint.
+//!   per-forward CPU times and the arena footprint.
 //!
 //! Timings are **process CPU seconds** (see [`cpu_seconds`]), not wall
 //! clock: the gate must be reproducible on shared hosts, where wall-clock
@@ -32,13 +32,14 @@
 //!
 //! With a `BASELINE.json` (the committed `BENCH_pr7.json`), the suite
 //! self-gates: per dataset it fails if `pack_copied` exceeds the baseline
-//! or `fused_ops` decreased (counters are deterministic, so these are
-//! exact), and the **nine-dataset timing totals** must stay within
+//! (the counter is deterministic, so this is exact), and the
+//! **nine-dataset timing totals** must stay within
 //! `LIP_PERF_TOL` (default 0.10 = 10%) of the baseline totals —
 //! per-dataset times jitter under bursty interference, but the jitter is
 //! independent across datasets and cancels in the sum. Hard floors
-//! independent of the baseline: `fused_ops >= 1`,
-//! `pack_copied <= PACK_CEILING` and zero layout copies on every dataset.
+//! independent of the baseline: `pack_copied <= PACK_CEILING` and zero
+//! layout copies on every dataset. The committed baseline also carries a
+//! `fused_ops` key that no code reads; the decoder skips unknown keys.
 //! If the totals still flake on a badly loaded host, bump `LIP_PERF_TOL`
 //! rather than deleting the gate.
 
@@ -75,8 +76,6 @@ struct PerfRecord {
     pack_copied: u64,
     /// Total bytes copied by layout ops + packing during one tape forward.
     copied_bytes: u64,
-    /// Elementwise stages fused into head ops in the compiled program.
-    fused_ops: u64,
     /// Whole-arena footprint of the bound executor at this batch.
     arena_bytes: u64,
     /// fnv1a-64 of the prediction bytes (identical across all four engines
@@ -94,7 +93,6 @@ lip_serde::json_struct!(PerfRecord {
     exec_parallel_s,
     pack_copied,
     copied_bytes,
-    fused_ops,
     arena_bytes,
     parity_hash,
 });
@@ -200,7 +198,6 @@ fn main() {
 
         let compiled = compile_inference(&model, &prep.spec)
             .unwrap_or_else(|e| panic!("{name:?}: {e}"));
-        let fused_ops = compiled.schedule().fused_ops() as u64;
         let mut bound = compiled.bind(indices.len());
         let arena_bytes = bound.arena_bytes() as u64;
 
@@ -251,9 +248,6 @@ fn main() {
         });
 
         // Hard floors, independent of any baseline.
-        if fused_ops == 0 {
-            failures.push(format!("{name:?}: compiled program fused no elementwise ops"));
-        }
         if pack_copied > PACK_CEILING {
             failures.push(format!(
                 "{name:?}: pack_copied {pack_copied} B exceeds the post-tiling \
@@ -286,20 +280,13 @@ fn main() {
                     base.pack_copied
                 ));
             }
-            if fused_ops < base.fused_ops {
-                failures.push(format!(
-                    "{name:?}: fused_ops regressed {} → {fused_ops}",
-                    base.fused_ops
-                ));
-            }
         }
 
         println!(
-            "  {name:>13?}  tape {:>8.3} ms  exec {:>8.3} ms  pack {:>7} B  fused {:>2}",
+            "  {name:>13?}  tape {:>8.3} ms  exec {:>8.3} ms  pack {:>7} B",
             tape_serial_s * 1e3,
             exec_serial_s * 1e3,
             pack_copied,
-            fused_ops
         );
         records.push(PerfRecord {
             dataset: format!("{name:?}"),
@@ -311,7 +298,6 @@ fn main() {
             exec_parallel_s,
             pack_copied,
             copied_bytes,
-            fused_ops,
             arena_bytes,
             parity_hash,
         });

@@ -12,6 +12,7 @@
 //! `lip_data::csv`). Hourly sampling is assumed for the implicit temporal
 //! features; use `--freq min15|min10|hourly|daily` to override.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -58,9 +59,10 @@ impl Args {
     }
 }
 
+/// Print `msg` and the usage text to stderr and exit 2. A failed write
+/// (stderr closed or full) is ignored: the exit code still reports it.
 fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("{USAGE}");
+    let _ = writeln!(std::io::stderr(), "error: {msg}\n{USAGE}");
     std::process::exit(2)
 }
 
@@ -223,7 +225,7 @@ fn cmd_evaluate(args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let Some(args) = Args::parse() else {
-        eprintln!("{USAGE}");
+        let _ = writeln!(std::io::stderr(), "{USAGE}");
         return ExitCode::from(2);
     };
     match args.command.as_str() {
@@ -231,7 +233,7 @@ fn main() -> ExitCode {
         "forecast" => cmd_forecast(&args),
         "evaluate" => cmd_evaluate(&args),
         other => {
-            eprintln!("unknown command '{other}'\n{USAGE}");
+            let _ = writeln!(std::io::stderr(), "unknown command '{other}'\n{USAGE}");
             ExitCode::from(2)
         }
     }

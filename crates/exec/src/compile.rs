@@ -59,7 +59,7 @@ pub(crate) enum Source {
     CovNumerical,
 }
 
-/// An elementwise function: a map head or a fused stage.
+/// A unary elementwise function.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum MapFn {
     AddScalar(f32),
@@ -106,10 +106,6 @@ pub(crate) enum Kernel {
     GatherRows { channel: usize },
 }
 
-/// A lowered step: its kernel plus the fused elementwise chain applied per
-/// element at store time, in order.
-pub(crate) type Lowered = (Kernel, Vec<MapFn>);
-
 fn map_fn(op: &str, attr: &NodeAttr) -> Option<MapFn> {
     Some(match (op, attr) {
         ("AddScalar", NodeAttr::Scalar(s)) => MapFn::AddScalar(*s),
@@ -136,20 +132,8 @@ pub(crate) fn lower(
     step: &Step,
     explicit: bool,
     gathers: &mut usize,
-) -> Result<Lowered, CompileError> {
-    let post = step
-        .fused
-        .iter()
-        .map(|f| {
-            map_fn(f.op, &f.attr).ok_or_else(|| {
-                CompileError::Unsupported(format!(
-                    "fused stage {} at node {} is not elementwise",
-                    f.op, f.node
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let kernel = match (step.op, &step.attr, step.storage) {
+) -> Result<Kernel, CompileError> {
+    Ok(match (step.op, &step.attr, step.storage) {
         ("Param", _, Storage::Param(k)) => Kernel::Param(k),
         ("Leaf", NodeAttr::Label("x"), _) => Kernel::Load(Source::X),
         ("Leaf", NodeAttr::Label("covariate"), _) if explicit => Kernel::Load(Source::CovNumerical),
@@ -177,8 +161,7 @@ pub(crate) fn lower(
                 step.node
             ))
         })?),
-    };
-    Ok((kernel, post))
+    })
 }
 
 /// A verified inference program plus the parameter data it closes over.
@@ -187,7 +170,7 @@ pub(crate) fn lower(
 pub struct CompiledModel {
     pub(crate) schedule: InferenceSchedule,
     /// Each schedule step, lowered.
-    pub(crate) kernels: Vec<Lowered>,
+    pub(crate) kernels: Vec<Kernel>,
     /// Parameter segment of the arena, packed in step order.
     pub(crate) params: Vec<f32>,
     /// Element span of each parameter in the packed segment.
@@ -213,30 +196,11 @@ impl CompiledModel {
 }
 
 /// Compile `model` for tapeless inference under `spec` (the same covariate
-/// spec the model was constructed with). Elementwise chains are fused (see
-/// `lip_analyze::schedule`); use [`compile_inference_unfused`] to get the
-/// one-pass-per-op program for differential testing.
+/// spec the model was constructed with): one kernel pass per kept plan
+/// node.
 pub fn compile_inference(
     model: &LiPFormer,
     spec: &CovariateSpec,
-) -> Result<CompiledModel, CompileError> {
-    compile_with(model, spec, true)
-}
-
-/// [`compile_inference`] with elementwise fusion disabled — every scheduled
-/// op runs as its own arena pass. Exists so tests can prove fused execution
-/// byte-identical to the unfused program.
-pub fn compile_inference_unfused(
-    model: &LiPFormer,
-    spec: &CovariateSpec,
-) -> Result<CompiledModel, CompileError> {
-    compile_with(model, spec, false)
-}
-
-fn compile_with(
-    model: &LiPFormer,
-    spec: &CovariateSpec,
-    fuse: bool,
 ) -> Result<CompiledModel, CompileError> {
     if !model.has_enriching() {
         return Err(CompileError::Unsupported(
@@ -245,16 +209,12 @@ fn compile_with(
     }
     let config = model.config().clone();
     let plan = plan_forward_loss(model, spec, false)?;
-    let schedule = if fuse {
-        InferenceSchedule::build(&plan)?
-    } else {
-        InferenceSchedule::build_unfused(&plan)?
-    };
+    let schedule = InferenceSchedule::build(&plan)?;
 
-    // Static verification: prove def-before-use, slot liveness, symbolic
-    // arena bounds (all B >= 1), and fusion legality before trusting the
-    // schedule with an arena. A bad scheduler change is a typed error here,
-    // not a runtime abort in lip-serve.
+    // Static verification: prove def-before-use, slot liveness and symbolic
+    // arena bounds (all B >= 1) before trusting the schedule with an arena.
+    // A bad scheduler change is a typed error here, not a runtime abort in
+    // lip-serve.
     let findings = verify_schedule(&plan, &schedule);
     if !findings.is_empty() {
         return Err(CompileError::Invariant(
@@ -303,23 +263,19 @@ fn compile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lip_analyze::FusedStage;
 
     fn step(op: &'static str, attr: NodeAttr, storage: Storage) -> Step {
-        let (shape, inputs, fused, dies_after) = (vec![], vec![], vec![], vec![]);
-        Step { node: 7, op, shape, inputs, attr, storage, fused, dies_after }
+        let (shape, inputs, dies_after) = (vec![], vec![], vec![]);
+        Step { node: 7, op, shape, inputs, attr, storage, dies_after }
     }
 
     #[test]
     fn unlowerable_steps_are_unsupported_naming_op_and_node() {
-        let mut fused_softmax = step("MatMul", NodeAttr::None, Storage::Slot(0));
-        fused_softmax.fused.push(FusedStage { node: 7, op: "Softmax", attr: NodeAttr::None });
         for (step, op) in [
             (step("Dropout", NodeAttr::None, Storage::Slot(0)), "Dropout"),
             (step("Permute", NodeAttr::None, Storage::View), "Permute"),
             (step("Param", NodeAttr::None, Storage::Slot(0)), "Param"),
             (step("Leaf", NodeAttr::Label("y"), Storage::Slot(0)), "Leaf"),
-            (fused_softmax, "Softmax"),
         ] {
             match lower(&step, false, &mut 0) {
                 Err(CompileError::Unsupported(m)) => {
@@ -333,16 +289,15 @@ mod tests {
     #[test]
     fn lowering_fixes_leaf_sources_post_chains_and_gather_channels() {
         let covariate = step("Leaf", NodeAttr::Label("covariate"), Storage::Slot(0));
-        let lowered = |step: &Step, explicit| lower(step, explicit, &mut 0).unwrap().0;
+        let lowered = |step: &Step, explicit| lower(step, explicit, &mut 0).unwrap();
         assert_eq!(lowered(&covariate, false), Kernel::Load(Source::TimeFeats));
         assert_eq!(lowered(&covariate, true), Kernel::Load(Source::CovNumerical));
-        let mut scaled = step("MatMul", NodeAttr::None, Storage::Slot(0));
-        scaled.fused.push(FusedStage { node: 8, op: "MulScalar", attr: NodeAttr::Scalar(0.5) });
-        let (kernel, post) = lower(&scaled, false, &mut 0).unwrap();
-        assert_eq!((kernel, post), (Kernel::MatMul, vec![MapFn::MulScalar(0.5)]));
+        // the attention scale after a MatMul is a step of its own
+        let scale = step("MulScalar", NodeAttr::Scalar(0.5), Storage::Slot(0));
+        assert_eq!(lowered(&scale, false), Kernel::Map(MapFn::MulScalar(0.5)));
         let (mut gathers, gather) = (0, step("GatherRows", NodeAttr::None, Storage::Slot(0)));
         let channels: Vec<Kernel> =
-            (0..2).map(|_| lower(&gather, true, &mut gathers).unwrap().0).collect();
+            (0..2).map(|_| lower(&gather, true, &mut gathers).unwrap()).collect();
         let expect = [Kernel::GatherRows { channel: 0 }, Kernel::GatherRows { channel: 1 }];
         assert_eq!(channels, expect);
     }

@@ -29,15 +29,11 @@
 //! declares it dead — is tested by poisoning dead slots after every step
 //! ([`BoundModel::run_with_poison`]) and asserting unchanged output bytes.
 //!
-//! ## Elementwise fusion
-//!
-//! The scheduler folds single-consumer elementwise chains (attention's
-//! `MatMul → MulScalar` scale, FFN `MatMul → … → Relu` tails, …) into their
-//! head op; the executor applies the fused stages per element at store time
-//! with the exact per-element expressions separate passes would have used,
-//! so fusion changes pass count and arena size but never output bytes.
-//! [`compile_inference_unfused`] compiles with fusion off so differential
-//! tests can prove that equality (`tests/fusion.rs`).
+//! Every kept plan node is one step and one kernel pass, so every
+//! intermediate the tape would hold is a value in the arena. There is no
+//! elementwise fusion: folding attention's `MatMul → MulScalar` scale into
+//! the matmul's store loop left the arena the same size and measured slower
+//! than running the scale as its own pass.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +41,5 @@
 pub mod compile;
 pub mod run;
 
-pub use compile::{compile_inference, compile_inference_unfused, CompileError, CompiledModel};
+pub use compile::{compile_inference, CompileError, CompiledModel};
 pub use run::BoundModel;

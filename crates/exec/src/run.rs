@@ -28,12 +28,8 @@
 //!
 //! Kernels are the exact `lip_tensor::kernel` entry points `Graph` recording
 //! uses, with the same per-element expressions (`v * s`, `a + b`, …), so a
-//! bound run is byte-identical to tape inference at any thread budget.
-//!
-//! Fused steps (see `lip_analyze::schedule`) carry a `post: Vec<MapFn>`
-//! chain applied per element at store time — `apply_post` threads the value
-//! through the same scalar expressions the separate passes would have used,
-//! preserving byte parity while eliminating whole-tensor round trips.
+//! bound run is byte-identical to tape inference at any thread budget. Each
+//! bound step is one plan node: one kernel pass writing one plan value.
 
 use lip_analyze::{eval_shape, Storage};
 use lip_data::window::Batch;
@@ -88,34 +84,6 @@ struct PackedOperand {
     packed: bool,
 }
 
-/// One elementwise stage, exactly as the tape's separate pass would compute
-/// it (`run_map` uses the same expressions) — fused chains apply these per
-/// element at store time, so fused bytes equal unfused bytes.
-fn apply_map(f: MapFn, v: f32) -> f32 {
-    match f {
-        MapFn::AddScalar(s) => v + s,
-        MapFn::MulScalar(s) => v * s,
-        MapFn::Neg => -v,
-        MapFn::Relu => v.max(0.0),
-        MapFn::Gelu => gelu_scalar(v),
-        MapFn::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-        MapFn::Tanh => v.tanh(),
-        MapFn::Sqrt => v.sqrt(),
-        MapFn::Exp => v.exp(),
-        MapFn::Ln => v.ln(),
-        MapFn::Square => v * v,
-        MapFn::Abs => v.abs(),
-    }
-}
-
-/// Thread `v` through a fused stage chain in order.
-fn apply_post(mut v: f32, post: &[MapFn]) -> f32 {
-    for &f in post {
-        v = apply_map(f, v);
-    }
-    v
-}
-
 /// A step's kernel with every operand resolved to an arena [`Desc`].
 #[derive(Debug)]
 enum BoundOp {
@@ -124,12 +92,11 @@ enum BoundOp {
     Load(Source),
     /// A `Reshape` whose input strides do not admit the target shape.
     Materialize { src: Desc },
-    Map { src: Desc, f: MapFn, post: Vec<MapFn> },
-    Zip { a: Desc, b: Desc, f: ZipFn, post: Vec<MapFn> },
+    Map { src: Desc, f: MapFn },
+    Zip { a: Desc, b: Desc, f: ZipFn },
     /// `a` is read through its strides (never packed); `b` packs into
-    /// scratch only when its rows are not unit-stride. `post` is the fused
-    /// elementwise chain applied per element at store time.
-    MatMul { a: Desc, b: PackedOperand, post: Vec<MapFn> },
+    /// scratch only when its rows are not unit-stride.
+    MatMul { a: Desc, b: PackedOperand },
     Softmax { src: PackedOperand, width: usize, log: bool },
     Reduce { src: PackedOperand, axis: usize, mean_scale: Option<f32> },
     Concat { parts: Vec<PackedOperand>, axis: usize, outer: usize, inner: usize },
@@ -210,14 +177,13 @@ impl CompiledModel {
         let mut descs: Vec<Option<Desc>> = vec![None; sched.pred + 1];
         let mut steps = Vec::with_capacity(sched.steps.len());
 
-        for (step, (lowered, post)) in sched.steps.iter().zip(&self.kernels) {
+        for (step, lowered) in sched.steps.iter().zip(&self.kernels) {
             let shape = eval_shape(&step.shape, b);
             let inputs: Vec<Desc> = step
                 .inputs
                 .iter()
                 .map(|&i| descs[i].clone().expect("input scheduled before use"))
                 .collect();
-            let post = post.clone();
             let mut scratch = slots_end;
             // `d` as a kernel operand, packed into scratch unless the
             // kernel can read it in place
@@ -264,10 +230,10 @@ impl CompiledModel {
                     }
                 }
                 Kernel::Load(source) => (None, BoundOp::Load(*source)),
-                Kernel::Map(f) => (None, BoundOp::Map { src: inputs[0].clone(), f: *f, post }),
+                Kernel::Map(f) => (None, BoundOp::Map { src: inputs[0].clone(), f: *f }),
                 Kernel::Zip(f) => {
                     let (a, b) = (inputs[0].clone(), inputs[1].clone());
-                    (None, BoundOp::Zip { a, b, f: *f, post })
+                    (None, BoundOp::Zip { a, b, f: *f })
                 }
                 Kernel::MatMul => {
                     // the tiled kernel reads the lhs through its strides;
@@ -276,7 +242,7 @@ impl CompiledModel {
                     // in place
                     let rhs = &inputs[1];
                     let b = pack(rhs, kernel::matmul_rows_dense(&rhs.shape, &rhs.strides));
-                    (None, BoundOp::MatMul { a: inputs[0].clone(), b, post })
+                    (None, BoundOp::MatMul { a: inputs[0].clone(), b })
                 }
                 Kernel::Softmax { log } => {
                     let width = *shape.last().expect("softmax on a scalar");
@@ -370,51 +336,30 @@ impl Reader<'_> {
     }
 }
 
-fn run_map(src: ViewRef<'_>, out: &mut [f32], f: MapFn, post: &[MapFn]) {
-    // per-element expressions match the Tensor wrappers exactly; the
-    // no-post fast path keeps the hot monomorphized closures branch-free
-    if post.is_empty() {
-        match f {
-            MapFn::AddScalar(s) => kernel::map_into(src, out, |v| v + s),
-            MapFn::MulScalar(s) => kernel::map_into(src, out, |v| v * s),
-            MapFn::Neg => kernel::map_into(src, out, |v| -v),
-            MapFn::Relu => kernel::map_into(src, out, |v| v.max(0.0)),
-            MapFn::Gelu => kernel::map_into(src, out, gelu_scalar),
-            MapFn::Sigmoid => kernel::map_into(src, out, |v| 1.0 / (1.0 + (-v).exp())),
-            MapFn::Tanh => kernel::map_into(src, out, f32::tanh),
-            MapFn::Sqrt => kernel::map_into(src, out, f32::sqrt),
-            MapFn::Exp => kernel::map_into(src, out, f32::exp),
-            MapFn::Ln => kernel::map_into(src, out, f32::ln),
-            MapFn::Square => kernel::map_into(src, out, |v| v * v),
-            MapFn::Abs => kernel::map_into(src, out, f32::abs),
-        }
-    } else {
-        kernel::map_into(src, out, |v| apply_post(apply_map(f, v), post));
+fn run_map(src: ViewRef<'_>, out: &mut [f32], f: MapFn) {
+    // per-element expressions match the Tensor wrappers exactly
+    match f {
+        MapFn::AddScalar(s) => kernel::map_into(src, out, |v| v + s),
+        MapFn::MulScalar(s) => kernel::map_into(src, out, |v| v * s),
+        MapFn::Neg => kernel::map_into(src, out, |v| -v),
+        MapFn::Relu => kernel::map_into(src, out, |v| v.max(0.0)),
+        MapFn::Gelu => kernel::map_into(src, out, gelu_scalar),
+        MapFn::Sigmoid => kernel::map_into(src, out, |v| 1.0 / (1.0 + (-v).exp())),
+        MapFn::Tanh => kernel::map_into(src, out, f32::tanh),
+        MapFn::Sqrt => kernel::map_into(src, out, f32::sqrt),
+        MapFn::Exp => kernel::map_into(src, out, f32::exp),
+        MapFn::Ln => kernel::map_into(src, out, f32::ln),
+        MapFn::Square => kernel::map_into(src, out, |v| v * v),
+        MapFn::Abs => kernel::map_into(src, out, f32::abs),
     }
 }
 
-fn run_zip(
-    a: ViewRef<'_>,
-    b: ViewRef<'_>,
-    out_shape: &[usize],
-    out: &mut [f32],
-    f: ZipFn,
-    post: &[MapFn],
-) {
-    if post.is_empty() {
-        match f {
-            ZipFn::Add => kernel::zip_into(a, b, out_shape, out, |x, y| x + y),
-            ZipFn::Sub => kernel::zip_into(a, b, out_shape, out, |x, y| x - y),
-            ZipFn::Mul => kernel::zip_into(a, b, out_shape, out, |x, y| x * y),
-            ZipFn::Div => kernel::zip_into(a, b, out_shape, out, |x, y| x / y),
-        }
-    } else {
-        match f {
-            ZipFn::Add => kernel::zip_into(a, b, out_shape, out, |x, y| apply_post(x + y, post)),
-            ZipFn::Sub => kernel::zip_into(a, b, out_shape, out, |x, y| apply_post(x - y, post)),
-            ZipFn::Mul => kernel::zip_into(a, b, out_shape, out, |x, y| apply_post(x * y, post)),
-            ZipFn::Div => kernel::zip_into(a, b, out_shape, out, |x, y| apply_post(x / y, post)),
-        }
+fn run_zip(a: ViewRef<'_>, b: ViewRef<'_>, out_shape: &[usize], out: &mut [f32], f: ZipFn) {
+    match f {
+        ZipFn::Add => kernel::zip_into(a, b, out_shape, out, |x, y| x + y),
+        ZipFn::Sub => kernel::zip_into(a, b, out_shape, out, |x, y| x - y),
+        ZipFn::Mul => kernel::zip_into(a, b, out_shape, out, |x, y| x * y),
+        ZipFn::Div => kernel::zip_into(a, b, out_shape, out, |x, y| x / y),
     }
 }
 
@@ -476,23 +421,18 @@ impl BoundModel {
                 BoundOp::Materialize { src } => {
                     write_out(arena, dst.range, |r, out| kernel::gather_into(r.view(src), out));
                 }
-                BoundOp::Map { src, f, post } => {
-                    write_out(arena, dst.range, |r, out| run_map(r.view(src), out, *f, post));
+                BoundOp::Map { src, f } => {
+                    write_out(arena, dst.range, |r, out| run_map(r.view(src), out, *f));
                 }
-                BoundOp::Zip { a, b, f, post } => {
+                BoundOp::Zip { a, b, f } => {
                     write_out(arena, dst.range, |r, out| {
-                        run_zip(r.view(a), r.view(b), &dst.shape, out, *f, post)
+                        run_zip(r.view(a), r.view(b), &dst.shape, out, *f)
                     });
                 }
-                BoundOp::MatMul { a, b, post } => {
+                BoundOp::MatMul { a, b } => {
                     pack_operand(arena, b);
                     write_out(arena, dst.range, |r, out| {
-                        let (av, bv) = (r.view(a), r.view(&b.dense));
-                        if post.is_empty() {
-                            kernel::matmul_packed_into(av, bv, out, |v| v);
-                        } else {
-                            kernel::matmul_packed_into(av, bv, out, |v| apply_post(v, post));
-                        }
+                        kernel::matmul_packed_into(r.view(a), r.view(&b.dense), out)
                     });
                 }
                 BoundOp::Softmax { src, width, log } => {

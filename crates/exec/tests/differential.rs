@@ -132,7 +132,7 @@ fn architecture_variants_byte_identical_for_both_covariate_policies() {
             let model = LiPFormer::new(config.clone(), &spec, 11);
             let compiled = compile_inference(&model, &spec)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
-            for &b in &[1usize, 7] {
+            for &b in &[1usize, 2, 7] {
                 let batch = synthetic_batch(config, &spec, b);
                 let mut bound = compiled.bind(b);
                 let shadow = bound.shadow_check();

@@ -8,7 +8,9 @@
 //! * request line `METHOD SP PATH SP HTTP/1.x`, headers terminated by a
 //!   blank line, CRLF or bare LF both accepted;
 //! * bodies require `Content-Length` (no chunked encoding — a request with
-//!   `Transfer-Encoding` is rejected as a typed 400);
+//!   `Transfer-Encoding` is rejected as a typed 400); repeated
+//!   `Content-Length` headers must agree, or the request is a typed 400
+//!   and the connection closes;
 //! * header block, terminator included, capped at [`Limits::max_header`]
 //!   bytes, body at [`Limits::max_body`] (checked against the declared
 //!   length *before* the body is read, so an oversized upload is refused
@@ -151,6 +153,13 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<ReadOutco
                 let n: usize = value
                     .parse()
                     .map_err(|_| bad(format!("unparseable Content-Length '{value}'")))?;
+                // differing repeats leave the body's length undefined
+                // (RFC 7230 §3.3.3); equal repeats are harmless
+                if let Some(m) = content_length.filter(|&m| m != n) {
+                    return Err(bad(format!(
+                        "conflicting Content-Length headers ({m} and {n})"
+                    )));
+                }
                 content_length = Some(n);
             }
             "transfer-encoding" => {

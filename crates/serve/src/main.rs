@@ -9,13 +9,17 @@
 //! is in flight; `--max-wait-ms` caps how long it waits for in-flight
 //! requests.
 
+use std::io::Write;
 use std::time::Duration;
 
 use lip_serve::batcher::BatchPolicy;
 use lip_serve::{Server, ServerConfig};
 
+/// Print the usage text to stderr and exit 2. A failed write (stderr
+/// closed or full) is ignored: the exit code still reports it.
 fn usage() -> ! {
-    eprintln!(
+    let _ = writeln!(
+        std::io::stderr(),
         "usage: lip-serve [--addr HOST:PORT] [--workers N] [--max-batch N] \
          [--max-wait-ms N] [--checkpoint-root DIR]\n\
          a batch runs once it holds --max-batch requests or no other request is \
@@ -32,7 +36,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
+            let _ = writeln!(std::io::stderr(), "missing value for {flag}");
             usage()
         });
         match flag.as_str() {
@@ -60,7 +64,7 @@ fn main() {
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("lip-serve: bind failed: {e}");
+            let _ = writeln!(std::io::stderr(), "lip-serve: bind failed: {e}");
             std::process::exit(1);
         }
     };

@@ -85,4 +85,20 @@ fn binary_rejects_bad_flags() {
         .status()
         .expect("run lip-serve");
     assert_eq!(status.code(), Some(2), "unknown flags must exit 2 (usage)");
+
+    // an unwritable stderr must not turn the usage error into a panic (101)
+    let full = match std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("skipping the /dev/full case: {e}");
+            return;
+        }
+    };
+    let status = Command::new(env!("CARGO_BIN_EXE_lip-serve"))
+        .arg("--no-such-flag")
+        .stdout(Stdio::null())
+        .stderr(full)
+        .status()
+        .expect("run lip-serve");
+    assert_eq!(status.code(), Some(2), "usage error with stderr on /dev/full");
 }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::Shutdown;
 use std::time::Duration;
 
@@ -250,6 +250,33 @@ fn garbage_and_malformed_requests() {
     let resp = common::read_response(&mut s).expect("400 response");
     assert_eq!(resp.status, 400, "body: {}", resp.body);
     b.assert_healthy("bytes past Content-Length");
+
+    // differing Content-Length headers leave the body length undefined
+    // (RFC 7230 §3.3.3): a typed 400, and the server closes the connection
+    let mut s = common::connect(addr);
+    let head = "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello";
+    s.write_all(head.as_bytes()).expect("conflicting lengths");
+    let resp = common::read_response(&mut s).expect("400 response");
+    assert_eq!(resp.status, 400, "body: {}", resp.body);
+    assert_eq!(resp.error_code(), "bad_request");
+    let after = s.read(&mut [0u8; 64]);
+    assert!(
+        matches!(&after, Ok(0))
+            || matches!(&after, Err(e) if e.kind() == ErrorKind::ConnectionReset),
+        "connection must close after conflicting Content-Length, got {after:?}"
+    );
+    b.assert_healthy("conflicting Content-Length");
+
+    // repeated equal Content-Length headers stay accepted
+    let mut s = common::connect(addr);
+    let n = b.good_body.len();
+    let head =
+        format!("POST /forecast HTTP/1.1\r\nContent-Length: {n}\r\nContent-Length: {n}\r\n\r\n");
+    s.write_all(head.as_bytes()).expect("head");
+    s.write_all(b.good_body.as_bytes()).expect("body");
+    let resp = common::read_response(&mut s).expect("200 response");
+    assert_eq!(resp.status, 200, "body: {}", resp.body);
+    b.assert_healthy("repeated equal Content-Length");
 
     // structurally valid JSON of the wrong shape: typed 400 with context
     let resp = common::post(addr, "/forecast", r#"{"checkpoint": 42}"#);

@@ -13,7 +13,7 @@
 use lip_par::{par_chunks_mut, ELEMWISE_CHUNK};
 
 use crate::kernel;
-use crate::shape::{broadcast_shapes, broadcast_strides, numel, Odometer2};
+use crate::shape::{broadcast_shapes, broadcast_strides, contiguous_strides, numel, Odometer2};
 use crate::Tensor;
 
 impl Tensor {
@@ -186,7 +186,7 @@ impl Tensor {
             return self.clone();
         }
         // target indexes the dense accumulator; self walks its own strides
-        let sa = broadcast_strides(target, &self.shape);
+        let sa = broadcast_strides(target, &contiguous_strides(target), &self.shape);
         let inner_t = sa.last().copied().unwrap_or(0);
         let inner_s = self.strides.last().copied().unwrap_or(0);
         let t_numel = numel(target);

@@ -32,7 +32,9 @@
 
 use lip_par::{par_chunks_mut, ELEMWISE_CHUNK, MATMUL_CHUNK_MACS};
 
-use crate::shape::{broadcast_shapes, is_row_major, numel, split_at_axis, Odometer2};
+use crate::shape::{
+    broadcast_shapes, broadcast_strides, is_row_major, numel, split_at_axis, Odometer2,
+};
 
 /// A borrowed strided view over raw storage: everything a kernel needs to
 /// read one operand, with no ownership and no refcount traffic.
@@ -68,31 +70,6 @@ impl ViewRef<'_> {
         }
         &self.data[self.offset..self.offset + n]
     }
-}
-
-/// Broadcast `strides` (belonging to `shape`) up to `out_shape`: size-1 and
-/// missing-leading axes get stride 0.
-fn strides_for_broadcast(shape: &[usize], strides: &[usize], out_shape: &[usize]) -> Vec<usize> {
-    assert!(
-        out_shape.len() >= shape.len(),
-        "shape {shape:?} does not broadcast to {out_shape:?}"
-    );
-    let pad = out_shape.len() - shape.len();
-    let mut out = vec![0usize; out_shape.len()];
-    for (i, o) in out.iter_mut().enumerate() {
-        if i < pad {
-            continue;
-        }
-        let dim = shape[i - pad];
-        debug_assert!(
-            dim == out_shape[i] || dim == 1,
-            "shape {shape:?} does not broadcast to {out_shape:?}"
-        );
-        if dim != 1 {
-            *o = strides[i - pad];
-        }
-    }
-    out
 }
 
 /// `out[i] = f(src[i])` in logical row-major order.
@@ -195,8 +172,8 @@ pub fn zip_into(
     // General strided broadcast over the operands' actual strides: each
     // chunk re-seats the odometer at its start offset and walks its own
     // linear range of the logical output space.
-    let sa = strides_for_broadcast(a.shape, a.strides, out_shape);
-    let sb = strides_for_broadcast(b.shape, b.strides, out_shape);
+    let sa = broadcast_strides(a.shape, a.strides, out_shape);
+    let sb = broadcast_strides(b.shape, b.strides, out_shape);
     let (a_raw, b_raw) = (a.data, b.data);
     let (a_base, b_base) = (a.offset, b.offset);
     par_chunks_mut(out, ELEMWISE_CHUNK, |_, start, dst| {
@@ -235,7 +212,7 @@ pub fn matmul_rows_dense(shape: &[usize], strides: &[usize]) -> bool {
 }
 
 /// Batched tiled matmul over strided rank ≥ 2 operands (leading axes
-/// broadcast): `out[.., i, j] = epilogue(Σ_p a[.., i, p] · b[.., p, j])`.
+/// broadcast): `out[.., i, j] = Σ_p a[.., i, p] · b[.., p, j]`.
 ///
 /// The lhs is read through its own strides — a transposed, sliced,
 /// broadcast, or overlapping-window (`sliding_window`) lhs never has to be
@@ -263,14 +240,8 @@ pub fn matmul_rows_dense(shape: &[usize], strides: &[usize]) -> bool {
 /// accumulator that starts at `+0.0` never becomes `-0.0` under
 /// round-to-nearest adds); it is observable only when the rhs holds
 /// `±inf` or `NaN`, since `0 · inf` is `NaN`, so a row tile keeps it per
-/// row. `epilogue` is applied once per element at store time (identity for
-/// a plain matmul; a fused elementwise chain for the executor).
-pub fn matmul_packed_into(
-    a: ViewRef<'_>,
-    b: ViewRef<'_>,
-    out: &mut [f32],
-    epilogue: impl Fn(f32) -> f32 + Sync,
-) {
+/// row.
+pub fn matmul_packed_into(a: ViewRef<'_>, b: ViewRef<'_>, out: &mut [f32]) {
     let (ar, br) = (a.shape.len(), b.shape.len());
     assert!(ar >= 2 && br >= 2, "matmul_packed_into wants rank >= 2 operands");
     let (m, ka) = (a.shape[ar - 2], a.shape[ar - 1]);
@@ -296,8 +267,8 @@ pub fn matmul_packed_into(
 
     // Flat element offset of each batch's matrix, through the operands'
     // actual strides (0 on broadcast axes).
-    let sa = strides_for_broadcast(&a.shape[..ar - 2], &a.strides[..ar - 2], &batch_shape);
-    let sb = strides_for_broadcast(&b.shape[..br - 2], &b.strides[..br - 2], &batch_shape);
+    let sa = broadcast_strides(&a.shape[..ar - 2], &a.strides[..ar - 2], &batch_shape);
+    let sb = broadcast_strides(&b.shape[..br - 2], &b.strides[..br - 2], &batch_shape);
     let offsets: Vec<(usize, usize)> = Odometer2::new(&batch_shape, sa, sb).collect();
     debug_assert_eq!(offsets.len(), batches);
 
@@ -343,9 +314,7 @@ pub fn matmul_packed_into(
                     }
                     for (r, acc_r) in acc.iter().enumerate() {
                         let o0 = (ri + r) * n + j0;
-                        for (ou, &au) in dst[o0..o0 + MATMUL_TILE_N].iter_mut().zip(acc_r) {
-                            *ou = epilogue(au);
-                        }
+                        dst[o0..o0 + MATMUL_TILE_N].copy_from_slice(acc_r);
                     }
                     ri += MATMUL_TILE_M;
                     continue;
@@ -368,9 +337,7 @@ pub fn matmul_packed_into(
                             *au += av * bv;
                         }
                     }
-                    for (ou, &au) in o.iter_mut().zip(&acc) {
-                        *ou = epilogue(au);
-                    }
+                    o.copy_from_slice(&acc);
                 } else {
                     // remainder columns (< MATMUL_TILE_N): same accumulation
                     // order, scalar tail
@@ -385,9 +352,7 @@ pub fn matmul_packed_into(
                             *au += av * bv;
                         }
                     }
-                    for (ou, &au) in o.iter_mut().zip(&acc[..w]) {
-                        *ou = epilogue(au);
-                    }
+                    o.copy_from_slice(&acc[..w]);
                 }
                 ri += 1;
             }

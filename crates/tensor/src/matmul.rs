@@ -64,7 +64,7 @@ impl Tensor {
         // same element count (squeezed axes have extent 1), so the kernel
         // can fill the output buffer directly.
         let mut out = vec![0.0f32; numel(&out_shape)];
-        kernel::matmul_packed_into(a.view_ref(), b.view_ref(), &mut out, |v| v);
+        kernel::matmul_packed_into(a.view_ref(), b.view_ref(), &mut out);
         Tensor::from_vec(out, &out_shape)
     }
 }

@@ -175,22 +175,23 @@ pub fn matmul_shapes(lhs: &[usize], rhs: &[usize]) -> Result<Vec<usize>, TensorE
     Ok(out)
 }
 
-/// Strides of `shape` viewed as `out_shape`, with broadcast axes zeroed.
-/// Panics if the shapes are not broadcast compatible (checked by callers).
-pub fn broadcast_strides(shape: &[usize], out_shape: &[usize]) -> Vec<usize> {
-    let strides = contiguous_strides(shape);
+/// `strides` (belonging to `shape`) viewed as `out_shape`: missing leading
+/// axes and size-1 axes get stride 0. Panics if `shape` has more axes than
+/// `out_shape`; the per-axis rule is checked in debug builds.
+pub fn broadcast_strides(shape: &[usize], strides: &[usize], out_shape: &[usize]) -> Vec<usize> {
+    assert!(
+        out_shape.len() >= shape.len(),
+        "shape {shape:?} does not broadcast to {out_shape:?}"
+    );
     let pad = out_shape.len() - shape.len();
     let mut out = vec![0usize; out_shape.len()];
-    for i in 0..out_shape.len() {
-        if i < pad {
-            out[i] = 0;
-        } else {
-            let dim = shape[i - pad];
-            debug_assert!(
-                dim == out_shape[i] || dim == 1,
-                "shape {shape:?} does not broadcast to {out_shape:?}"
-            );
-            out[i] = if dim == 1 { 0 } else { strides[i - pad] };
+    for (i, (&dim, &stride)) in shape.iter().zip(strides).enumerate() {
+        debug_assert!(
+            dim == out_shape[pad + i] || dim == 1,
+            "shape {shape:?} does not broadcast to {out_shape:?}"
+        );
+        if dim != 1 {
+            out[pad + i] = stride;
         }
     }
     out
@@ -403,15 +404,21 @@ mod tests {
 
     #[test]
     fn broadcast_strides_zeroes_unit_axes() {
-        assert_eq!(broadcast_strides(&[3], &[2, 3]), vec![0, 1]);
-        assert_eq!(broadcast_strides(&[2, 1, 4], &[2, 3, 4]), vec![4, 0, 1]);
+        assert_eq!(broadcast_strides(&[3], &[1], &[2, 3]), vec![0, 1]);
+        assert_eq!(broadcast_strides(&[2, 1, 4], &[4, 4, 1], &[2, 3, 4]), vec![4, 0, 1]);
+        // a permuted view keeps its own strides on the axes it owns
+        assert_eq!(broadcast_strides(&[3, 2], &[1, 3], &[4, 3, 2]), vec![0, 1, 3]);
+    }
+
+    fn dense_broadcast(shape: &[usize], out_shape: &[usize]) -> Vec<usize> {
+        broadcast_strides(shape, &contiguous_strides(shape), out_shape)
     }
 
     #[test]
     fn odometer_walks_broadcast_pairs() {
         let out = [2usize, 2];
-        let sa = broadcast_strides(&[2, 2], &out);
-        let sb = broadcast_strides(&[2], &out);
+        let sa = dense_broadcast(&[2, 2], &out);
+        let sb = dense_broadcast(&[2], &out);
         let pairs: Vec<_> = Odometer2::new(&out, sa, sb).collect();
         assert_eq!(pairs, vec![(0, 0), (1, 1), (2, 0), (3, 1)]);
     }
@@ -419,8 +426,8 @@ mod tests {
     #[test]
     fn odometer_starting_at_matches_skipped_walk() {
         let out = [2usize, 3, 4];
-        let sa = broadcast_strides(&[3, 1], &out);
-        let sb = broadcast_strides(&[2, 1, 4], &out);
+        let sa = dense_broadcast(&[3, 1], &out);
+        let sb = dense_broadcast(&[2, 1, 4], &out);
         let full: Vec<_> = Odometer2::new(&out, sa.clone(), sb.clone()).collect();
         for start in [0usize, 1, 5, 11, 23, 24, 99] {
             let tail: Vec<_> =
@@ -432,7 +439,7 @@ mod tests {
     #[test]
     fn odometer_runs_expand_to_the_element_walk() {
         let out = [2usize, 3, 4];
-        let sa = broadcast_strides(&[3, 1], &out);
+        let sa = dense_broadcast(&[3, 1], &out);
         let sb = vec![1usize, 8, 2]; // permuted, non-unit innermost stride
         let full: Vec<_> = Odometer2::new(&out, sa.clone(), sb.clone()).collect();
         for start in [0usize, 1, 5, 11, 23, 24] {

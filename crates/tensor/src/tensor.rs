@@ -14,7 +14,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::shape::{contiguous_strides, is_row_major, numel, split_at_axis, view_strides, Odometer2};
+use crate::shape::{
+    broadcast_strides, contiguous_strides, is_row_major, numel, split_at_axis, view_strides,
+    Odometer2,
+};
 use crate::stats::{self, CopyKind};
 
 /// A strided view over shared, row-major `f32` storage.
@@ -257,33 +260,6 @@ impl Tensor {
         }
     }
 
-    /// Strides of this view broadcast up to `out_shape` (left-padding with
-    /// broadcast axes, zeroing the stride of every size-1 axis).
-    pub(crate) fn strides_for_broadcast(&self, out_shape: &[usize]) -> Vec<usize> {
-        assert!(
-            out_shape.len() >= self.rank(),
-            "shape {:?} does not broadcast to {out_shape:?}",
-            self.shape
-        );
-        let pad = out_shape.len() - self.rank();
-        let mut out = vec![0usize; out_shape.len()];
-        for (i, o) in out.iter_mut().enumerate() {
-            if i < pad {
-                continue;
-            }
-            let dim = self.shape[i - pad];
-            debug_assert!(
-                dim == out_shape[i] || dim == 1,
-                "shape {:?} does not broadcast to {out_shape:?}",
-                self.shape
-            );
-            if dim != 1 {
-                *o = self.strides[i - pad];
-            }
-        }
-        out
-    }
-
     // ------------------------------------------------------ shape surgery
 
     /// Reinterpret the elements under a new shape with equal element count.
@@ -425,7 +401,7 @@ impl Tensor {
         stats::record_view(CopyKind::BroadcastTo, numel(out_shape) * 4);
         Tensor {
             shape: out_shape.to_vec(),
-            strides: self.strides_for_broadcast(out_shape),
+            strides: broadcast_strides(&self.shape, &self.strides, out_shape),
             offset: self.offset,
             data: Arc::clone(&self.data),
         }

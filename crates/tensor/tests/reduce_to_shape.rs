@@ -17,7 +17,7 @@
 use lip_par::{combine_tree, map_chunks, Partition, ELEMWISE_CHUNK};
 use lip_rng::prop::Gen;
 use lip_rng::prop_check;
-use lip_tensor::shape::{broadcast_strides, numel, Odometer2};
+use lip_tensor::shape::{broadcast_strides, contiguous_strides, numel, Odometer2};
 use lip_tensor::Tensor;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -28,7 +28,7 @@ fn reference_reduce(src: &Tensor, target: &[usize]) -> Vec<f32> {
     if src.shape() == target {
         return src.to_vec();
     }
-    let sa = broadcast_strides(target, src.shape());
+    let sa = broadcast_strides(target, &contiguous_strides(target), src.shape());
     let t_numel = numel(target);
     let view = src.view_ref();
     let partials = map_chunks(Partition::new(src.numel(), ELEMWISE_CHUNK), |_, r| {

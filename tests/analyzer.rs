@@ -279,3 +279,23 @@ fn batch_contract_violations_are_findings_not_panics() {
         report.findings
     );
 }
+
+/// A usage error exits 2 even when stderr cannot be written: the binary
+/// must not panic (exit 101) on a full device.
+#[test]
+fn usage_error_exits_2_with_stderr_on_dev_full() {
+    let full = match std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("skipping: cannot open /dev/full: {e}");
+            return;
+        }
+    };
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_lip-analyze"))
+        .arg("--bogus-flag")
+        .stdout(std::process::Stdio::null())
+        .stderr(full)
+        .status()
+        .expect("run lip-analyze");
+    assert_eq!(status.code(), Some(2), "usage error with stderr on /dev/full");
+}

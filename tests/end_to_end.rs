@@ -107,3 +107,23 @@ fn covariate_dataset_flows_through_lipformer() {
     let r = run_prepared(&spec, &scale, &prep);
     assert!(r.mse.is_finite());
 }
+
+/// A usage error exits 2 even when stderr cannot be written: the binary
+/// must not panic (exit 101) on a full device.
+#[test]
+fn cli_usage_error_exits_2_with_stderr_on_dev_full() {
+    let full = match std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("skipping: cannot open /dev/full: {e}");
+            return;
+        }
+    };
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_lipformer_cli"))
+        .arg("--bogus-flag")
+        .stdout(std::process::Stdio::null())
+        .stderr(full)
+        .status()
+        .expect("run lipformer_cli");
+    assert_eq!(status.code(), Some(2), "usage error with stderr on /dev/full");
+}
