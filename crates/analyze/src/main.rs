@@ -54,6 +54,14 @@ modes (combine freely; at least one is required):
 options:
   --batch N              batch size for recorded tapes (default 2, min 2)";
 
+/// `println!` for every report line: a failed write (stdout closed or
+/// full) is ignored, so the exit code still carries the verdict.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 /// Print `msg` and the usage text to stderr and exit 2. A failed write
 /// (stderr closed or full) is ignored: the exit code still reports it.
 fn die(msg: &str) -> ! {
@@ -103,7 +111,7 @@ fn parse_args() -> Options {
                 }
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                out!("{USAGE}");
                 std::process::exit(0)
             }
             other => die(&format!("unknown argument '{other}'")),
@@ -174,7 +182,7 @@ fn lift_plan(
 fn print_plan(t: &Target, full: bool) -> usize {
     match lift_plan(&t.config, &t.spec, true) {
         Ok(plan) => {
-            println!(
+            out!(
                 "{}: {} nodes, MAC plan = {}",
                 t.label,
                 plan.tape.len(),
@@ -182,13 +190,13 @@ fn print_plan(t: &Target, full: bool) -> usize {
             );
             if full {
                 for (i, node) in plan.tape.nodes().iter().enumerate() {
-                    println!("  {i:>4}  {:<16} {}", node.op, shape_to_string(&node.shape));
+                    out!("  {i:>4}  {:<16} {}", node.op, shape_to_string(&node.shape));
                 }
             }
             0
         }
         Err(e) => {
-            println!("{}: {e}", t.label);
+            out!("{}: {e}", t.label);
             1
         }
     }
@@ -201,10 +209,10 @@ fn lint_only(t: &Target) -> usize {
     let (gc, closs) = record_contrastive(&model, &t.batch);
     let findings = lint_graphs(&[(&g, loss, "forecast"), (&gc, closs, "contrastive")]);
     if findings.is_empty() {
-        println!("{}: lints clean ({} + {} nodes)", t.label, g.len(), gc.len());
+        out!("{}: lints clean ({} + {} nodes)", t.label, g.len(), gc.len());
     } else {
         for f in &findings {
-            println!("{}: {f}", t.label);
+            out!("{}: {f}", t.label);
         }
     }
     findings.len()
@@ -217,7 +225,7 @@ fn verify_schedules(label: &str, config: &LiPFormerConfig, spec: &CovariateSpec)
     let plan = match lift_plan(config, spec, false) {
         Ok(p) => p,
         Err(e) => {
-            println!("{label}: plan rejected: {e}");
+            out!("{label}: plan rejected: {e}");
             return (1, 0);
         }
     };
@@ -225,12 +233,12 @@ fn verify_schedules(label: &str, config: &LiPFormerConfig, spec: &CovariateSpec)
         Ok(sched) => {
             let findings = verify_schedule(&plan, &sched);
             for f in &findings {
-                println!("{label}: {f}");
+                out!("{label}: {f}");
             }
             (findings.len(), 1)
         }
         Err(e) => {
-            println!("{label}: schedule rejected: {e}");
+            out!("{label}: schedule rejected: {e}");
             (1, 0)
         }
     }
@@ -275,7 +283,7 @@ fn verify_plan_sweep() -> usize {
             }
         }
     }
-    println!(
+    out!(
         "schedules: {verified} verified (def-before-use, liveness, arena bounds \
          for all B >= 1)"
     );
@@ -294,14 +302,14 @@ fn verify_plan_sweep() -> usize {
             let batch = synthetic_batch(&config, spec, 2);
             let report = check_model(&config, spec, &batch, &label);
             for f in &report.findings {
-                println!("{label}: {f}");
+                out!("{label}: {f}");
             }
             let (found, ok) = verify_schedules(&label, &config, spec);
             findings += report.findings.len() + found;
             comp_verified += ok;
         }
     }
-    println!(
+    out!(
         "stage compositions: {comp_verified} schedule(s) verified across {} \
          registered compositions (plan lift + schedule)",
         compositions.len()
@@ -309,14 +317,14 @@ fn verify_plan_sweep() -> usize {
 
     // -- partition disjointness: symbolic proof + bounded real-code sweep --
     for f in verify_partition_symbolic() {
-        println!("partition: {f}");
+        out!("partition: {f}");
         findings += 1;
     }
     for f in verify_partition_bounded(1024, 40) {
-        println!("partition: {f}");
+        out!("partition: {f}");
         findings += 1;
     }
-    println!(
+    out!(
         "partition: chunk windows pairwise disjoint and exactly covering \
          (symbolic proof for all n, c; Partition::ranges() swept to n <= 1024)"
     );
@@ -331,24 +339,24 @@ fn verify_plan_sweep() -> usize {
                 let (sites, audit) = audit_kernel_source(file, &text);
                 mutating_sites += sites;
                 for f in audit {
-                    println!("kernel audit: {f}");
+                    out!("kernel audit: {f}");
                     findings += 1;
                 }
             }
             Err(e) => {
-                println!("kernel audit: cannot read {path}: {e}");
+                out!("kernel audit: cannot read {path}: {e}");
                 findings += 1;
             }
         }
     }
     if mutating_sites == 0 {
-        println!(
+        out!(
             "kernel audit: no par_chunks_mut call site found — parallel mutation \
              moved off the audited API?"
         );
         findings += 1;
     } else {
-        println!(
+        out!(
             "kernel audit: {mutating_sites} par_chunks_mut site(s); no unsafe, \
              no raw threads, no direct for_each_chunk, no core-count lookups \
              in tensor kernels"
@@ -363,7 +371,7 @@ fn main() -> ExitCode {
     let mut findings = 0usize;
 
     if opts.plan {
-        println!("== lifted plan (forward + loss, training mode) ==");
+        out!("== lifted plan (forward + loss, training mode) ==");
         let full = targets.len() == 1;
         for t in &targets {
             findings += print_plan(t, full);
@@ -371,7 +379,7 @@ fn main() -> ExitCode {
     }
 
     if opts.check {
-        println!(
+        out!(
             "== model check (batch size {}, {} threads) ==",
             opts.batch,
             lip_par::max_threads()
@@ -382,7 +390,7 @@ fn main() -> ExitCode {
             .collect();
         for report in check_models(&tuples) {
             if report.clean() {
-                println!(
+                out!(
                     "{}: clean — {} forecast + {} contrastive nodes, MACs {}",
                     report.label,
                     report.forward_nodes,
@@ -391,27 +399,27 @@ fn main() -> ExitCode {
                 );
             } else {
                 for f in &report.findings {
-                    println!("{}: {f}", report.label);
+                    out!("{}: {f}", report.label);
                 }
                 findings += report.findings.len();
             }
         }
     } else if opts.lint {
-        println!("== tape lints (batch size {}) ==", opts.batch);
+        out!("== tape lints (batch size {}) ==", opts.batch);
         for t in &targets {
             findings += lint_only(t);
         }
     }
 
     if opts.verify {
-        println!("== static plan verification (schedules, partitions, kernels) ==");
+        out!("== static plan verification (schedules, partitions, kernels) ==");
         findings += verify_plan_sweep();
     }
 
     if findings == 0 {
         ExitCode::SUCCESS
     } else {
-        println!("{findings} finding(s)");
+        out!("{findings} finding(s)");
         ExitCode::FAILURE
     }
 }

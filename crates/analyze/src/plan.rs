@@ -70,9 +70,11 @@ pub enum NodeAttr {
         /// One past the last kept index along `axis`.
         end: usize,
     },
-    /// `Leaf` role: which runtime batch tensor feeds this input
-    /// (`"x"`, `"covariate"`, `"target"`, `"y"`, or the generic `"leaf"`).
+    /// `Leaf` role: the batch field this input aliases (`"x"`,
+    /// `"time_feats"`, `"cov_numerical"`, `"y"`, or the generic `"leaf"`).
     Label(&'static str),
+    /// `GatherRows`: the categorical covariate channel it reads.
+    Channel(usize),
 }
 
 /// A configuration error, or a model whose recordings do not lift to one
@@ -181,7 +183,7 @@ pub fn plan_forward_loss(
     training: bool,
 ) -> Result<ForwardPlan, PlanError> {
     let beta = model.config().smooth_l1_beta;
-    let (tape, outputs) = trace(model, spec, 1, "target", |g, batch| {
+    let (tape, outputs) = trace(model, spec, 1, |g, batch| {
         let (pred, loss) = forward_loss(g, model, batch, beta, training, 0);
         vec![pred, loss]
     })?;
@@ -205,7 +207,7 @@ pub fn plan_contrastive(
             "the contrastive graph needs the weak-enriching module",
         ));
     }
-    let (tape, outputs) = trace(model, spec, 2, "y", |g, batch| {
+    let (tape, outputs) = trace(model, spec, 2, |g, batch| {
         vec![model.contrastive_loss(g, batch)]
     })?;
     Ok(ContrastivePlan {
@@ -216,12 +218,11 @@ pub fn plan_contrastive(
 
 /// Record one graph of `model` on synthetic batches of size `b` and `b + 1`
 /// and lift the pair. `record` appends the graph and returns its output
-/// nodes; `target` labels the leaf that aliases the batch's `y`.
+/// nodes.
 fn trace(
     model: &LiPFormer,
     spec: &CovariateSpec,
     b: usize,
-    target: &'static str,
     record: impl Fn(&mut Graph<'_>, &Batch) -> Vec<Var>,
 ) -> Result<(SymTape, Vec<PlanVar>), PlanError> {
     let config = model.config();
@@ -232,7 +233,7 @@ fn trace(
     let [(lo, lo_out), (hi, hi_out)] = batches.each_ref().map(|batch| {
         let mut g = Graph::new(model.store());
         let outputs = record(&mut g, batch);
-        (Recording::new(&g, batch, spec, target), outputs)
+        (Recording::new(&g, batch), outputs)
     });
     if lo_out != hi_out {
         let m = format!(
@@ -255,7 +256,8 @@ struct Traced {
 
 /// What the lift reads off one recording: its batch size, its nodes, its
 /// MAC counter, and the categorical channels its `GatherRows` nodes must
-/// read, in order — the order in which the executor feeds them.
+/// read, in order: the k-th gather reads channel k, and its plan node
+/// records that channel.
 struct Recording<'a> {
     b: usize,
     nodes: Vec<Traced>,
@@ -264,19 +266,15 @@ struct Recording<'a> {
 }
 
 impl<'a> Recording<'a> {
-    /// Read `g`, recorded on `batch`, labelling the leaves that alias `x`,
-    /// the covariate input and `y` (as `target`).
-    fn new(g: &Graph<'_>, batch: &'a Batch, spec: &CovariateSpec, target: &'static str) -> Self {
-        let covariate = if spec.has_explicit() {
-            batch.cov_numerical.as_ref()
-        } else {
-            Some(&batch.time_feats)
-        };
+    /// Read `g`, recorded on `batch`, labelling each leaf by the batch field
+    /// it aliases: whichever covariate input the model chose is on the tape.
+    fn new(g: &Graph<'_>, batch: &'a Batch) -> Self {
         let mut sources = vec![
             (batch.x.storage_ptr(), "x"),
-            (batch.y.storage_ptr(), target),
+            (batch.y.storage_ptr(), "y"),
+            (batch.time_feats.storage_ptr(), "time_feats"),
         ];
-        sources.extend(covariate.map(|t| (t.storage_ptr(), "covariate")));
+        sources.extend(batch.cov_numerical.as_ref().map(|t| (t.storage_ptr(), "cov_numerical")));
         let categorical = batch.cov_categorical.as_deref().unwrap_or(&[]);
         Self::read(g, batch.x.shape()[0], &sources, categorical)
     }
@@ -437,7 +435,7 @@ fn lift(store: &ParamStore, runs: &[Recording<'_>; 2]) -> Result<SymTape, PlanEr
                     }
                 }
                 gathers += 1;
-                NodeAttr::None
+                NodeAttr::Channel(gathers - 1)
             }
             _ => node_attr(op),
         };

@@ -22,10 +22,13 @@
 //!   step — the executor relies on this for its disjoint split-borrow.
 //!
 //! Every kept plan node is one [`Step`]: the executor runs one kernel pass
-//! per node, so each step's value is a plan value a checker can name.
+//! per node, so each step's value is a plan value a checker can name. A
+//! step holds only what scheduling decides (storage and frees); its op,
+//! shape, inputs and attribute are read from its plan node. Which ops can
+//! run is the executor's call: it refuses the rest when it lowers them.
 
-use crate::plan::{ForwardPlan, NodeAttr, PlanError};
-use crate::sym::{affine_numel, SymDim, SymShape};
+use crate::plan::{ForwardPlan, PlanError};
+use crate::sym::{affine_numel, SymDim};
 
 /// How a scheduled node's value is stored at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,16 +48,9 @@ pub enum Storage {
 /// removed).
 #[derive(Debug, Clone)]
 pub struct Step {
-    /// Index of this node in the original plan tape.
+    /// Index of this node in the plan tape, which holds its op, shape,
+    /// inputs and attribute.
     pub node: usize,
-    /// Op variant name (`lip_autograd::Op::name` spelling).
-    pub op: &'static str,
-    /// Symbolic output shape.
-    pub shape: SymShape,
-    /// Plan-tape indices of the inputs.
-    pub inputs: Vec<usize>,
-    /// Compile-time attribute carried over from the plan.
-    pub attr: NodeAttr,
     /// Where the step's value lives in the arena.
     pub storage: Storage,
     /// Physical slots whose last use is this step — dead (poisonable) as
@@ -96,19 +92,6 @@ impl InferenceSchedule {
             keep[i] = true;
             for inp in &nodes[i].inputs {
                 stack.push(inp.0);
-            }
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            if keep[i]
-                && matches!(
-                    node.op,
-                    "Dropout" | "SmoothL1" | "CrossEntropyRows" | "Unfold" | "BroadcastTo"
-                )
-            {
-                return Err(err(format!(
-                    "op {} at node {i} has no inference lowering (plan with training=false)",
-                    node.op
-                )));
             }
         }
 
@@ -178,7 +161,6 @@ impl InferenceSchedule {
         let mut free: Vec<usize> = Vec::new();
         let mut slot_sizes: Vec<Vec<SymDim>> = Vec::new();
         let mut phys: Vec<Option<usize>> = vec![None; n];
-        let mut param_seen = 0usize;
         let mut steps = Vec::new();
         for i in 0..n {
             if !keep[i] {
@@ -205,13 +187,9 @@ impl InferenceSchedule {
                     Storage::Slot(id)
                 }
             } else {
-                let st = storage[i].ok_or_else(|| {
+                storage[i].ok_or_else(|| {
                     err(format!("kept node {i} ({}) has no storage class", node.op))
-                })?;
-                if let Storage::Param(_) = st {
-                    param_seen += 1;
-                }
-                st
+                })?
             };
             let mut dies_after = Vec::new();
             for &owner in &dies_at[i] {
@@ -223,18 +201,9 @@ impl InferenceSchedule {
             }
             steps.push(Step {
                 node: i,
-                op: node.op,
-                shape: node.shape.clone(),
-                inputs: node.inputs.iter().map(|v| v.0).collect(),
-                attr: node.attr.clone(),
                 storage: st,
                 dies_after,
             });
-        }
-        if param_seen != params {
-            return Err(err(format!(
-                "parameter segment mismatch: {param_seen} emitted vs {params} counted"
-            )));
         }
 
         Ok(InferenceSchedule {
@@ -278,7 +247,8 @@ mod tests {
         let sched = InferenceSchedule::build(&plan).unwrap();
         // the loss head (target leaf + SmoothL1) is dead code for inference;
         // every other node is one step
-        assert!(sched.steps.iter().all(|s| s.op != "SmoothL1"));
+        let nodes = plan.tape.nodes();
+        assert!(sched.steps.iter().all(|s| nodes[s.node].op != "SmoothL1"));
         assert_eq!(sched.steps.len(), plan.tape.len() - 2);
         // liveness must enable reuse: fewer physical slots than slot owners
         let owners = sched
@@ -297,16 +267,6 @@ mod tests {
         let s5 = sched.slot_elems(5);
         assert!(s1 > 0);
         assert_eq!(s3 - s1, s5 - s3, "slot pool must be affine in B");
-    }
-
-    #[test]
-    fn training_plan_with_dropout_is_rejected() {
-        let mut config = LiPFormerConfig::small(48, 24, 2);
-        config.dropout = 0.1;
-        let model = LiPFormer::new(config, &implicit_spec(), 0);
-        let plan = plan_forward_loss(&model, &implicit_spec(), true).unwrap();
-        let e = InferenceSchedule::build(&plan).unwrap_err();
-        assert!(e.message.contains("Dropout"), "{e}");
     }
 
     #[test]

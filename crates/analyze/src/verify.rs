@@ -9,8 +9,9 @@
 //!
 //! 1. **Def-before-use** ([`CheckClass::DefBeforeUse`]): every slot a step
 //!    reads — resolved through view chains to its physical owners — is
-//!    dominated by a write in schedule order, and the schedule's dataflow
-//!    (ops, inputs, shapes) is exactly the plan's.
+//!    dominated by a write in schedule order. A step names its plan node,
+//!    and its op, inputs and shape are read from that node, so the
+//!    schedule's dataflow is the plan's by construction.
 //! 2. **Liveness / aliasing soundness** ([`CheckClass::Liveness`]): the
 //!    greedy LIFO slot pool never hands a physical slot to a new value
 //!    while a prior value in it is still live; `dies_after` frees a slot
@@ -21,9 +22,11 @@
 //! 3. **Arena bounds** ([`CheckClass::ArenaBounds`]): every step's write
 //!    span fits its slot's symbolic extent for all `B ≥ 1` (affine
 //!    domination, decidable: `p·B + f ≥ p'·B + f'` for all `B ≥ 1` iff
-//!    `p ≥ p'` and `p + f ≥ p' + f'`), and no step's write slot appears
+//!    `p ≥ p'` and `p + f ≥ p' + f'`), no step's write slot appears
 //!    among its read slots — concurrent read/write overlap is flagged
-//!    (there is no sanctioned in-place case in the current executor).
+//!    (there is no sanctioned in-place case in the current executor) —
+//!    and parameters take the parameter segment's entries in step order,
+//!    the order `lip-exec` packs them in.
 //! 4. **Partition disjointness** ([`CheckClass::PartitionDisjoint`],
 //!    [`CheckClass::KernelAudit`]): a static race detector over `lip-par`'s
 //!    pure chunking. [`verify_partition_symbolic`] proves, via a small
@@ -143,54 +146,19 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
     let mut params_seen = 0usize;
 
     for (k, step) in sched.steps.iter().enumerate() {
-        let here = format!("step {k} (node {}, {})", step.node, step.op);
-        if step.node >= n {
+        let Some(node) = nodes.get(step.node) else {
             findings.push(finding(
                 CheckClass::DefBeforeUse,
-                format!("{here}: node index beyond the plan tape"),
+                format!("step {k} (node {}): node index beyond the plan tape", step.node),
             ));
             continue;
-        }
-
-        // -- dataflow parity with the plan: op, inputs, shape -------------
-        let planned = &nodes[step.node];
-        if step.op != planned.op {
-            findings.push(finding(
-                CheckClass::DefBeforeUse,
-                format!("{here}: scheduled as {} but planned as {}", step.op, planned.op),
-            ));
-        }
-        let planned_inputs: Vec<usize> = planned.inputs.iter().map(|v| v.0).collect();
-        if step.inputs != planned_inputs {
-            findings.push(finding(
-                CheckClass::DefBeforeUse,
-                format!(
-                    "{here}: inputs {:?} disagree with the plan's {planned_inputs:?}",
-                    step.inputs
-                ),
-            ));
-        }
-        if step.shape != planned.shape {
-            findings.push(finding(
-                CheckClass::DefBeforeUse,
-                format!(
-                    "{here}: scheduled shape {} disagrees with the plan's {}",
-                    shape_to_string(&step.shape),
-                    shape_to_string(&planned.shape)
-                ),
-            ));
-        }
+        };
+        let here = format!("step {k} (node {}, {})", step.node, node.op);
+        let inputs: Vec<usize> = node.inputs.iter().map(|v| v.0).collect();
 
         // -- reads: every base slot written, live, and owned as expected --
         let mut read_slots: Vec<usize> = Vec::new();
-        for &inp in &step.inputs {
-            if inp >= n {
-                findings.push(finding(
-                    CheckClass::DefBeforeUse,
-                    format!("{here}: input node {inp} beyond the plan tape"),
-                ));
-                continue;
-            }
+        for &inp in &inputs {
             let Some(bases) = node_bases[inp].as_ref() else {
                 findings.push(finding(
                     CheckClass::DefBeforeUse,
@@ -261,13 +229,13 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
                         ),
                     ));
                 }
-                match affine_numel(&step.shape) {
+                match affine_numel(&node.shape) {
                     None => findings.push(finding(
                         CheckClass::ArenaBounds,
                         format!(
                             "{here}: output shape {} has a non-affine element count; its \
                              span cannot be bounded in B",
-                            shape_to_string(&step.shape)
+                            shape_to_string(&node.shape)
                         ),
                     )),
                     Some(numel) => {
@@ -305,7 +273,8 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
         }
 
         // -- record this node's read footprint for downstream steps -------
-        node_bases[step.node] = Some(resolve_bases(step, &node_bases, &mut findings, &here));
+        let bases = resolve_bases(step, inputs.first(), &node_bases, &mut findings, &here);
+        node_bases[step.node] = Some(bases);
 
         // -- frees: dies_after must free exactly at last use --------------
         for &d in &step.dies_after {
@@ -388,15 +357,16 @@ pub fn verify_schedule(plan: &ForwardPlan, sched: &InferenceSchedule) -> Vec<Ver
 
 /// Resolve a step's value to the physical `(slot, owner-node)` pairs a
 /// reader of it will touch — re-deriving the scheduler's alias bases from
-/// storage classes alone.
+/// storage classes alone. `input0` is the step's first plan input.
 fn resolve_bases(
     step: &Step,
+    input0: Option<&usize>,
     node_bases: &[Option<Vec<(usize, usize)>>],
     findings: &mut Vec<VerifyFinding>,
     here: &str,
 ) -> Vec<(usize, usize)> {
     let mut input0 = || {
-        step.inputs.first().and_then(|&i| node_bases.get(i)).and_then(|b| b.clone()).unwrap_or_else(
+        input0.and_then(|&i| node_bases.get(i)).and_then(|b| b.clone()).unwrap_or_else(
             || {
                 findings.push(finding(
                     CheckClass::DefBeforeUse,

@@ -41,25 +41,3 @@ pub use patchtst::PatchTst;
 pub use tide::Tide;
 pub use timemixer::TimeMixer;
 pub use transformer::VanillaTransformer;
-
-use lip_data::CovariateSpec;
-use lipformer::Forecaster;
-
-/// Construct every baseline for a `(seq_len, pred_len, channels)` task at the
-/// benchmark width, in the paper's Table III column order (after LiPFormer).
-pub fn all_baselines(
-    seq_len: usize,
-    pred_len: usize,
-    channels: usize,
-    spec: &CovariateSpec,
-    seed: u64,
-) -> Vec<Box<dyn Forecaster>> {
-    vec![
-        Box::new(ITransformer::new(seq_len, pred_len, channels, 64, 2, seed)),
-        Box::new(TimeMixer::new(seq_len, pred_len, channels, 64, seed)),
-        Box::new(Fgnn::new(seq_len, pred_len, channels, 32, seed)),
-        Box::new(PatchTst::new(seq_len, pred_len, channels, 64, 2, seed)),
-        Box::new(DLinear::new(seq_len, pred_len, channels, seed)),
-        Box::new(Tide::new(seq_len, pred_len, channels, spec, 64, seed)),
-    ]
-}

@@ -15,15 +15,19 @@
 //!    with no lowering is a [`CompileError::Unsupported`]), and pack the
 //!    model's parameters into the arena's parameter segment. The result is
 //!    a [`CompiledModel`] whose shapes are affine in the batch size `B`:
-//!    one compilation serves every `B`.
+//!    one compilation serves every `B`. Each schedule step names its plan
+//!    node, which alone holds the step's op, shape, inputs and attribute;
+//!    the compiled model keeps the plan.
 //! 2. [`CompiledModel::bind`] — evaluate the symbolic arena layout at a
 //!    concrete `B`: size the single allocation, resolve every typed
 //!    kernel's views, strides, scratch packing and liveness spans into a
 //!    [`BoundModel`]. Bind reads no op name.
 //! 3. [`BoundModel::run`] — execute the step list against a batch. Kernels
-//!    are the *same* `lip_tensor::kernel` entry points the tape uses, so
-//!    outputs are byte-identical to `Graph`-recorded inference at any
-//!    `lip-par` thread budget (the differential tests enforce this).
+//!    are the *same* `lip_tensor::kernel` entry points the tape uses, and
+//!    elementwise and axis-mean steps apply its one elementwise table, as
+//!    the `Tensor` methods do, so outputs are byte-identical to
+//!    `Graph`-recorded inference at any `lip-par` thread budget by
+//!    construction (the differential tests enforce this).
 //!
 //! The arena-safety contract — a buffer is never read after the schedule
 //! declares it dead — is tested by poisoning dead slots after every step

@@ -14,11 +14,12 @@
 //!   as before. Packing gathers in logical order, so when it happens the
 //!   bytes equal the tape's `contiguous()` copy.
 //!
-//! `bind` reads only the typed `Kernel` compile lowered each step to (no
-//! op name, no `NodeAttr`) and resolves its operands into a `BoundStep`.
-//! Each bound step lists its arena reads and writes once, in
-//! `BoundStep::effects`; [`BoundModel::assert_no_aliasing`] and the
-//! debug-only shadow checker both walk that list.
+//! `bind` reads the typed `Kernel` compile lowered each step to (no op
+//! name, no `NodeAttr`) and the shape and inputs of the step's plan node,
+//! and resolves its operands into a `BoundStep`. Each bound step lists its
+//! arena reads and writes once, in `BoundStep::effects`;
+//! [`BoundModel::assert_no_aliasing`] and [`BoundModel::shadow_check`]
+//! both walk that list.
 //!
 //! Every step writes through `write_out`, which splits the arena into
 //! `left | output | right` disjoint borrows. The scheduler guarantees an
@@ -27,17 +28,19 @@
 //! re-checks that invariant over the bound ranges.
 //!
 //! Kernels are the exact `lip_tensor::kernel` entry points `Graph` recording
-//! uses, with the same per-element expressions (`v * s`, `a + b`, …), so a
-//! bound run is byte-identical to tape inference at any thread budget. Each
-//! bound step is one plan node: one kernel pass writing one plan value.
+//! uses: Map, Zip and Reduce steps call the elementwise table
+//! (`unary_into`, `binary_into`, `axis_reduce_into`) the `Tensor` methods
+//! call, so a bound run is byte-identical to tape inference at any thread
+//! budget by construction. Each bound step is one plan node: one kernel
+//! pass writing one plan value.
 
-use lip_analyze::{eval_shape, Storage};
+use lip_analyze::{eval_shape, PlanVar, Storage};
 use lip_data::window::Batch;
-use lip_tensor::kernel::{self, ViewRef};
+use lip_tensor::kernel::{self, AxisReduce, Binary, Unary, ViewRef};
 use lip_tensor::shape::{contiguous_strides, is_row_major, numel, view_strides};
-use lip_tensor::{gelu_scalar, Tensor};
+use lip_tensor::Tensor;
 
-use crate::compile::{CompiledModel, Kernel, MapFn, Source, ZipFn};
+use crate::compile::{CompiledModel, Kernel, Source};
 
 /// A half-open element span `[start, end)` in the arena.
 type Span = (usize, usize);
@@ -92,13 +95,13 @@ enum BoundOp {
     Load(Source),
     /// A `Reshape` whose input strides do not admit the target shape.
     Materialize { src: Desc },
-    Map { src: Desc, f: MapFn },
-    Zip { a: Desc, b: Desc, f: ZipFn },
+    Map { src: Desc, f: Unary },
+    Zip { a: Desc, b: Desc, f: Binary },
     /// `a` is read through its strides (never packed); `b` packs into
     /// scratch only when its rows are not unit-stride.
     MatMul { a: Desc, b: PackedOperand },
     Softmax { src: PackedOperand, width: usize, log: bool },
-    Reduce { src: PackedOperand, axis: usize, mean_scale: Option<f32> },
+    Reduce { src: PackedOperand, axis: usize, f: AxisReduce },
     Concat { parts: Vec<PackedOperand>, axis: usize, outer: usize, inner: usize },
     GatherRows { table: Desc, channel: usize },
 }
@@ -152,7 +155,6 @@ pub struct BoundModel {
     /// End of the pooled-slot segment (scratch begins here). The shadow
     /// checker uses it to tell slot writes (allocation events, must hit
     /// non-live storage) from scratch writes (freely reused every step).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     slots_end: usize,
     batch_size: usize,
 }
@@ -178,11 +180,12 @@ impl CompiledModel {
         let mut steps = Vec::with_capacity(sched.steps.len());
 
         for (step, lowered) in sched.steps.iter().zip(&self.kernels) {
-            let shape = eval_shape(&step.shape, b);
-            let inputs: Vec<Desc> = step
+            let node = &self.plan.tape.nodes()[step.node];
+            let shape = eval_shape(&node.shape, b);
+            let inputs: Vec<Desc> = node
                 .inputs
                 .iter()
-                .map(|&i| descs[i].clone().expect("input scheduled before use"))
+                .map(|&PlanVar(i)| descs[i].clone().expect("input scheduled before use"))
                 .collect();
             let mut scratch = slots_end;
             // `d` as a kernel operand, packed into scratch unless the
@@ -249,11 +252,9 @@ impl CompiledModel {
                     let src = pack(&inputs[0], inputs[0].is_contiguous());
                     (None, BoundOp::Softmax { src, width, log: *log })
                 }
-                Kernel::Reduce { axis, mean } => {
+                Kernel::Reduce { axis, f } => {
                     let src = pack(&inputs[0], inputs[0].is_contiguous());
-                    // same expression as Tensor::mean_axis applies to the sum
-                    let mean_scale = mean.then(|| 1.0 / (src.src.shape[*axis] as f32));
-                    (None, BoundOp::Reduce { src, axis: *axis, mean_scale })
+                    (None, BoundOp::Reduce { src, axis: *axis, f: *f })
                 }
                 Kernel::Concat { axis } => {
                     let parts = inputs.iter().map(|d| pack(d, d.is_contiguous())).collect();
@@ -336,33 +337,6 @@ impl Reader<'_> {
     }
 }
 
-fn run_map(src: ViewRef<'_>, out: &mut [f32], f: MapFn) {
-    // per-element expressions match the Tensor wrappers exactly
-    match f {
-        MapFn::AddScalar(s) => kernel::map_into(src, out, |v| v + s),
-        MapFn::MulScalar(s) => kernel::map_into(src, out, |v| v * s),
-        MapFn::Neg => kernel::map_into(src, out, |v| -v),
-        MapFn::Relu => kernel::map_into(src, out, |v| v.max(0.0)),
-        MapFn::Gelu => kernel::map_into(src, out, gelu_scalar),
-        MapFn::Sigmoid => kernel::map_into(src, out, |v| 1.0 / (1.0 + (-v).exp())),
-        MapFn::Tanh => kernel::map_into(src, out, f32::tanh),
-        MapFn::Sqrt => kernel::map_into(src, out, f32::sqrt),
-        MapFn::Exp => kernel::map_into(src, out, f32::exp),
-        MapFn::Ln => kernel::map_into(src, out, f32::ln),
-        MapFn::Square => kernel::map_into(src, out, |v| v * v),
-        MapFn::Abs => kernel::map_into(src, out, f32::abs),
-    }
-}
-
-fn run_zip(a: ViewRef<'_>, b: ViewRef<'_>, out_shape: &[usize], out: &mut [f32], f: ZipFn) {
-    match f {
-        ZipFn::Add => kernel::zip_into(a, b, out_shape, out, |x, y| x + y),
-        ZipFn::Sub => kernel::zip_into(a, b, out_shape, out, |x, y| x - y),
-        ZipFn::Mul => kernel::zip_into(a, b, out_shape, out, |x, y| x * y),
-        ZipFn::Div => kernel::zip_into(a, b, out_shape, out, |x, y| x / y),
-    }
-}
-
 fn pack_operand(arena: &mut [f32], p: &PackedOperand) {
     if p.packed {
         write_out(arena, p.dense.range, |r, out| kernel::gather_into(r.view(&p.src), out));
@@ -422,11 +396,11 @@ impl BoundModel {
                     write_out(arena, dst.range, |r, out| kernel::gather_into(r.view(src), out));
                 }
                 BoundOp::Map { src, f } => {
-                    write_out(arena, dst.range, |r, out| run_map(r.view(src), out, *f));
+                    write_out(arena, dst.range, |r, out| kernel::unary_into(r.view(src), out, *f));
                 }
                 BoundOp::Zip { a, b, f } => {
                     write_out(arena, dst.range, |r, out| {
-                        run_zip(r.view(a), r.view(b), &dst.shape, out, *f)
+                        kernel::binary_into(r.view(a), r.view(b), &dst.shape, out, *f)
                     });
                 }
                 BoundOp::MatMul { a, b } => {
@@ -446,22 +420,11 @@ impl BoundModel {
                         }
                     });
                 }
-                BoundOp::Reduce { src, axis, mean_scale } => {
+                BoundOp::Reduce { src, axis, f } => {
                     pack_operand(arena, src);
                     write_out(arena, dst.range, |r, out| {
-                        kernel::axis_accumulate_into(
-                            r.dense(&src.dense),
-                            &src.dense.shape,
-                            *axis,
-                            0.0,
-                            |acc, v| acc + v,
-                            out,
-                        );
-                        if let Some(s) = mean_scale {
-                            for v in out.iter_mut() {
-                                *v *= s;
-                            }
-                        }
+                        let data = r.dense(&src.dense);
+                        kernel::axis_reduce_into(data, &src.dense.shape, *axis, *f, out)
                     });
                 }
                 BoundOp::Concat { parts, axis, outer, inner } => {
@@ -530,7 +493,6 @@ impl BoundModel {
 }
 
 /// Per-element arena state tracked by the dynamic shadow-writes checker.
-#[cfg(debug_assertions)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Shadow {
     /// Never written since bind (or since its slot was last freed and the
@@ -542,13 +504,11 @@ enum Shadow {
     Dead,
 }
 
-#[cfg(debug_assertions)]
 impl BoundModel {
-    /// Dynamic shadow-writes checker (debug builds only): replay the bound
-    /// step list over a per-element shadow arena — `Undef | Live | Dead` —
-    /// and validate at this concrete `B`
-    /// exactly the claims `lip_analyze::verify_schedule` proves symbolically
-    /// for all `B`:
+    /// Dynamic shadow-writes checker: replay the bound step list over a
+    /// per-element shadow arena — `Undef | Live | Dead` — and validate at
+    /// this concrete `B` exactly the claims `lip_analyze::verify_schedule`
+    /// proves symbolically for all `B`:
     ///
     /// * every element a step reads is **live** (def-before-use, no
     ///   use-after-free) — parameters are live from bind time;

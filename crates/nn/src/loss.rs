@@ -30,13 +30,7 @@ pub fn clip_symmetric_ce(g: &mut Graph, v_target: Var, v_covariate: Var, log_tem
     let b = shape_t[0];
     assert!(b >= 2, "contrastive batch needs at least 2 pairs");
 
-    let vt = l2_normalize_rows(g, v_target);
-    let vc = l2_normalize_rows(g, v_covariate);
-    let vct = g.transpose(vc, 0, 1);
-    let sims = g.matmul(vt, vct); // [b, b] cosine similarities
-    let temp = g.exp(log_temp); // scalar e^t
-    let logits = g.mul(sims, temp);
-
+    let logits = clip_logits(g, v_target, v_covariate, log_temp);
     let labels: Vec<usize> = (0..b).collect();
     let loss_rows = g.cross_entropy_rows(logits, &labels);
     let logits_t = g.transpose(logits, 0, 1);
@@ -51,8 +45,8 @@ pub fn clip_logits(g: &mut Graph, v_target: Var, v_covariate: Var, log_temp: Var
     let vt = l2_normalize_rows(g, v_target);
     let vc = l2_normalize_rows(g, v_covariate);
     let vct = g.transpose(vc, 0, 1);
-    let sims = g.matmul(vt, vct);
-    let temp = g.exp(log_temp);
+    let sims = g.matmul(vt, vct); // [b, b] cosine similarities
+    let temp = g.exp(log_temp); // scalar e^t
     g.mul(sims, temp)
 }
 

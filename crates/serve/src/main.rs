@@ -68,12 +68,18 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
+    // a failed banner write (stdout closed or full) must not stop the
+    // server: it is already bound and serving
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(
+        out,
         "lip-serve listening on {} ({} workers, max_batch {max_batch}, max_wait {:?})",
         server.addr(),
         server.workers(),
         max_wait,
-    );
+    )
+    .and_then(|()| out.flush());
+    drop(out);
     // serve forever: the acceptor and workers do all the work
     loop {
         std::thread::sleep(Duration::from_secs(3600));

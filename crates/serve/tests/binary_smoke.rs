@@ -6,8 +6,9 @@
 mod common;
 
 use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use lip_data::DatasetName;
 
@@ -101,4 +102,38 @@ fn binary_rejects_bad_flags() {
         .status()
         .expect("run lip-serve");
     assert_eq!(status.code(), Some(2), "usage error with stderr on /dev/full");
+}
+
+#[test]
+fn binary_serves_with_stdout_on_dev_full() {
+    let full = match std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("skipping the /dev/full case: {e}");
+            return;
+        }
+    };
+    // the banner naming the port goes nowhere, so pick the port first
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port");
+    let child = Command::new(env!("CARGO_BIN_EXE_lip-serve"))
+        .args(["--addr", &addr.to_string(), "--workers", "2"])
+        .stdout(full)
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn lip-serve");
+    let mut daemon = Daemon { child, addr };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while TcpStream::connect(addr).is_err() {
+        if let Some(status) = daemon.child.try_wait().expect("poll lip-serve") {
+            panic!("lip-serve exited with {status} when its stdout was unwritable");
+        }
+        assert!(Instant::now() < deadline, "lip-serve never listened on {addr}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let health = common::get(daemon.addr, "/healthz");
+    assert_eq!(health.status, 200, "{}", health.body);
+    let exited = daemon.child.try_wait().expect("poll lip-serve");
+    assert!(exited.is_none(), "lip-serve exited with {exited:?} after serving");
 }

@@ -12,8 +12,8 @@
 
 use lip_par::{par_chunks_mut, ELEMWISE_CHUNK};
 
-use crate::kernel;
-use crate::shape::{broadcast_shapes, broadcast_strides, contiguous_strides, numel, Odometer2};
+use crate::kernel::{self, Binary, Unary, ViewRef, SQRT_2_OVER_PI};
+use crate::shape::{broadcast_strides, contiguous_strides, numel, Odometer2};
 use crate::Tensor;
 
 impl Tensor {
@@ -24,114 +24,115 @@ impl Tensor {
         Tensor::from_vec(out, &self.shape)
     }
 
-    /// Combine with `rhs` elementwise under broadcasting.
-    ///
-    /// The output shape is decided per fast path (mirroring the dispatch in
-    /// [`kernel::zip_into`], which must stay in sync): equal-shape / suffix /
-    /// rhs-scalar cases keep `self.shape`, the lhs-scalar case keeps
-    /// `rhs.shape`, and the general case broadcasts.
+    /// Apply the table function `f` to every element.
+    fn unary(&self, f: Unary) -> Tensor {
+        let mut out = vec![0.0f32; self.numel()];
+        kernel::unary_into(self.view_ref(), &mut out, f);
+        Tensor::from_vec(out, &self.shape)
+    }
+
+    /// Combine with `rhs` elementwise under broadcasting, into the shape
+    /// [`kernel::zip_shape`] picks.
     pub fn zip(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-        let out_shape: Vec<usize> = if (self.shape == rhs.shape
-            && self.is_contiguous()
-            && rhs.is_contiguous())
-            || rhs.numel() == 1
-        {
-            self.shape.clone()
-        } else if self.numel() == 1 {
-            rhs.shape.clone()
-        } else if rhs.rank() <= self.rank()
-            && self.shape[self.rank() - rhs.rank()..] == *rhs.shape()
-            && self.is_contiguous()
-            && rhs.is_contiguous()
-        {
-            self.shape.clone()
-        } else {
-            broadcast_shapes(&self.shape, &rhs.shape).unwrap_or_else(|e| panic!("{e}"))
-        };
+        self.zip_with(rhs, |a, b, shape, out| kernel::zip_into(a, b, shape, out, f))
+    }
+
+    /// Combine with `rhs` by the table function `f`.
+    fn binary(&self, rhs: &Tensor, f: Binary) -> Tensor {
+        self.zip_with(rhs, |a, b, shape, out| kernel::binary_into(a, b, shape, out, f))
+    }
+
+    fn zip_with(
+        &self,
+        rhs: &Tensor,
+        write: impl FnOnce(ViewRef<'_>, ViewRef<'_>, &[usize], &mut [f32]),
+    ) -> Tensor {
+        let (a, b) = (self.view_ref(), rhs.view_ref());
+        let out_shape = kernel::zip_shape(a, b);
         let mut out = vec![0.0f32; numel(&out_shape)];
-        kernel::zip_into(self.view_ref(), rhs.view_ref(), &out_shape, &mut out, f);
+        write(a, b, &out_shape, &mut out);
         Tensor::from_vec(out, &out_shape)
     }
 
     /// Elementwise addition (broadcasting).
     pub fn add(&self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a + b)
+        self.binary(rhs, Binary::Add)
     }
 
     /// Elementwise subtraction (broadcasting).
     pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a - b)
+        self.binary(rhs, Binary::Sub)
     }
 
     /// Elementwise multiplication (broadcasting).
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a * b)
+        self.binary(rhs, Binary::Mul)
     }
 
     /// Elementwise division (broadcasting).
     pub fn div(&self, rhs: &Tensor) -> Tensor {
-        self.zip(rhs, |a, b| a / b)
+        self.binary(rhs, Binary::Div)
     }
 
     /// Add a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v + s)
+        self.unary(Unary::AddScalar(s))
     }
 
     /// Multiply every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
-        self.map(|v| v * s)
+        self.unary(Unary::MulScalar(s))
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Tensor {
-        self.map(|v| -v)
+        self.unary(Unary::Neg)
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
-        self.map(|v| v * v)
+        self.unary(Unary::Square)
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Tensor {
-        self.map(f32::sqrt)
+        self.unary(Unary::Sqrt)
     }
 
     /// Elementwise natural exponent.
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        self.unary(Unary::Exp)
     }
 
     /// Elementwise natural log.
     pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
+        self.unary(Unary::Ln)
     }
 
     /// Elementwise absolute value.
     pub fn abs(&self) -> Tensor {
-        self.map(f32::abs)
+        self.unary(Unary::Abs)
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
+        self.unary(Unary::Relu)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|v| 1.0 / (1.0 + (-v).exp()))
+        self.unary(Unary::Sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        self.unary(Unary::Tanh)
     }
 
     /// Gaussian error linear unit (tanh approximation, as used by GPT-style
     /// stacks; accurate to ~1e-3 of the exact erf form).
     pub fn gelu(&self) -> Tensor {
-        self.map(gelu_scalar)
+        self.unary(Unary::Gelu)
     }
 
     /// In-place fused `self += rhs * scale` for equally shaped tensors —
@@ -227,17 +228,8 @@ impl Tensor {
     }
 }
 
-/// The tanh-approximated GELU itself, exposed for the compiled executor
-/// (which must apply the byte-identical scalar function).
-#[inline]
-pub fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
-}
-
 /// Derivative of the tanh-approximated GELU, exposed for the autograd crate.
 pub fn gelu_grad_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     let inner = SQRT_2_OVER_PI * (x + 0.044715 * x * x * x);
     let t = inner.tanh();
     let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x);
@@ -276,6 +268,9 @@ mod tests {
         let x = Tensor::arange(3);
         assert_eq!(x.add(&Tensor::scalar(1.0)).to_vec(), vec![1., 2., 3.]);
         assert_eq!(Tensor::scalar(1.0).sub(&x).to_vec(), vec![1., 0., -1.]);
+        // a one-element operand of higher rank takes the other's shape
+        assert_eq!(x.add(&Tensor::ones(&[1, 1])).shape(), &[3]);
+        assert_eq!(Tensor::ones(&[1, 1]).mul(&x).shape(), &[3]);
     }
 
     #[test]

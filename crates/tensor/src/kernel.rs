@@ -9,7 +9,11 @@
 //! `reduce.rs` / `tensor.rs` delegate here, which is what makes the executor
 //! byte-identical to the tape by construction: there is exactly one
 //! implementation of every kernel, with the same chunking, the same
-//! accumulation order, and the same `lip-par` fan-out.
+//! accumulation order, and the same `lip-par` fan-out. The elementwise
+//! table — [`Unary`], [`Binary`] and [`AxisReduce`], applied by
+//! [`unary_into`], [`binary_into`] and [`axis_reduce_into`] — is the one
+//! definition of each per-element expression, the `1 / len` mean scale
+//! included.
 //!
 //! Every kernel short-circuits on a zero-numel output, so empty views never
 //! reach the chunk-size arithmetic or the density `debug_assert!`s.
@@ -73,7 +77,7 @@ impl ViewRef<'_> {
 }
 
 /// `out[i] = f(src[i])` in logical row-major order.
-pub fn map_into(src: ViewRef<'_>, out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
+pub(crate) fn map_into(src: ViewRef<'_>, out: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
     debug_assert_eq!(out.len(), src.numel());
     if out.is_empty() {
         return;
@@ -104,13 +108,27 @@ pub fn gather_into(src: ViewRef<'_>, out: &mut [f32]) {
     map_into(src, out, |v| v);
 }
 
-/// `out[i] = f(a[i], b[i])` under broadcasting. `out_shape` is the caller's
-/// resolved output shape; the dispatch below MUST stay in sync with
-/// `Tensor::zip`'s per-path output-shape choice (same conditions, same
-/// order), since which fast path runs decides nothing about the values —
-/// every path computes each output element identically — but the shapes must
-/// agree with what the wrapper allocated.
-pub fn zip_into(
+/// The shape a broadcasting elementwise op on `a` and `b` writes
+/// ([`binary_into`], `Tensor::zip`): the other operand's shape when one
+/// side is a single element (the rhs checked first), else the broadcast of
+/// both. Panics when the shapes do not broadcast.
+pub fn zip_shape(a: ViewRef<'_>, b: ViewRef<'_>) -> Vec<usize> {
+    // zip_into's equal-shape and suffix walks write the broadcast shape
+    // too; only a one-element operand keeps the other operand's rank
+    if b.numel() == 1 {
+        a.shape.to_vec()
+    } else if a.numel() == 1 {
+        b.shape.to_vec()
+    } else {
+        broadcast_shapes(a.shape, b.shape).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// `out[i] = f(a[i], b[i])` under broadcasting, into `out` of
+/// `out_shape` — the operands' [`zip_shape`]. Which walk runs decides
+/// nothing about the values: every walk computes each output element
+/// identically.
+pub(crate) fn zip_into(
     a: ViewRef<'_>,
     b: ViewRef<'_>,
     out_shape: &[usize],
@@ -186,6 +204,122 @@ pub fn zip_into(
             *d = f(a_raw[a_base + x], b_raw[b_base + y]);
         }
     });
+}
+
+/// A unary elementwise function. [`unary_into`] holds the one definition
+/// of each per-element expression: the `Tensor` method of the same name
+/// (and through it the tape) and the arena executor both call it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Unary {
+    /// `v + s`.
+    AddScalar(f32),
+    /// `v * s`.
+    MulScalar(f32),
+    /// `-v`.
+    Neg,
+    /// `max(v, 0)`.
+    Relu,
+    /// GELU, tanh approximation.
+    Gelu,
+    /// `1 / (1 + e^-v)`.
+    Sigmoid,
+    /// `tanh v`.
+    Tanh,
+    /// `√v`.
+    Sqrt,
+    /// `e^v`.
+    Exp,
+    /// `ln v`.
+    Ln,
+    /// `v * v`.
+    Square,
+    /// `|v|`.
+    Abs,
+}
+
+/// `out[i] = f(src[i])` in logical row-major order.
+pub fn unary_into(src: ViewRef<'_>, out: &mut [f32], f: Unary) {
+    match f {
+        Unary::AddScalar(s) => map_into(src, out, |v| v + s),
+        Unary::MulScalar(s) => map_into(src, out, |v| v * s),
+        Unary::Neg => map_into(src, out, |v| -v),
+        Unary::Relu => map_into(src, out, |v| v.max(0.0)),
+        Unary::Gelu => map_into(src, out, gelu),
+        Unary::Sigmoid => map_into(src, out, |v| 1.0 / (1.0 + (-v).exp())),
+        Unary::Tanh => map_into(src, out, f32::tanh),
+        Unary::Sqrt => map_into(src, out, f32::sqrt),
+        Unary::Exp => map_into(src, out, f32::exp),
+        Unary::Ln => map_into(src, out, f32::ln),
+        Unary::Square => map_into(src, out, |v| v * v),
+        Unary::Abs => map_into(src, out, f32::abs),
+    }
+}
+
+/// `√(2/π)`, the scale of the GELU approximation.
+pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+
+/// The tanh-approximated GELU (accurate to ~1e-3 of the exact erf form).
+fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
+}
+
+/// A broadcasting binary elementwise function; [`binary_into`] defines
+/// each, as [`unary_into`] does the unary ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binary {
+    /// `a + b`.
+    Add,
+    /// `a - b`.
+    Sub,
+    /// `a * b`.
+    Mul,
+    /// `a / b`.
+    Div,
+}
+
+/// `out[i] = f(a[i], b[i])` under broadcasting, into `out` of
+/// `out_shape`, the operands' [`zip_shape`].
+pub fn binary_into(
+    a: ViewRef<'_>,
+    b: ViewRef<'_>,
+    out_shape: &[usize],
+    out: &mut [f32],
+    f: Binary,
+) {
+    match f {
+        Binary::Add => zip_into(a, b, out_shape, out, |x, y| x + y),
+        Binary::Sub => zip_into(a, b, out_shape, out, |x, y| x - y),
+        Binary::Mul => zip_into(a, b, out_shape, out, |x, y| x * y),
+        Binary::Div => zip_into(a, b, out_shape, out, |x, y| x / y),
+    }
+}
+
+/// An axis reduction that keeps the reduced axis as size 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AxisReduce {
+    /// The sum along the axis.
+    Sum,
+    /// The sum along the axis, times `1 / len`.
+    Mean,
+}
+
+/// Reduce dense row-major `data` of `shape` along `axis` into `out`, the
+/// reduced axis kept as size 1. Each output element accumulates in serial
+/// order at any thread count.
+pub fn axis_reduce_into(
+    data: &[f32],
+    shape: &[usize],
+    axis: usize,
+    f: AxisReduce,
+    out: &mut [f32],
+) {
+    axis_accumulate_into(data, shape, axis, 0.0, |acc, v| acc + v, out);
+    if f == AxisReduce::Mean {
+        let scale = 1.0 / shape[axis] as f32;
+        for v in out.iter_mut() {
+            *v *= scale;
+        }
+    }
 }
 
 /// Column-tile width of the register-blocked matmul micro-kernel: each
@@ -366,7 +500,7 @@ pub fn matmul_packed_into(a: ViewRef<'_>, b: ViewRef<'_>, out: &mut [f32]) {
 /// `(outer, len, inner)` split at `axis`. Fills `out` with `init` itself.
 /// The `l` accumulation order per output element matches the serial loop
 /// exactly; parallelism only splits the disjoint output regions.
-pub fn axis_accumulate_into(
+pub(crate) fn axis_accumulate_into(
     data: &[f32],
     shape: &[usize],
     axis: usize,

@@ -54,7 +54,7 @@ pub mod shape;
 pub mod stats;
 mod tensor;
 
-pub use elementwise::{gelu_grad_scalar, gelu_scalar};
+pub use elementwise::gelu_grad_scalar;
 pub use error::TensorError;
 pub use serialize::TensorRepr;
 pub use tensor::Tensor;

@@ -12,7 +12,7 @@
 
 use lip_par::{reduce_chunks, Partition, REDUCE_CHUNK};
 
-use crate::kernel;
+use crate::kernel::{self, AxisReduce};
 use crate::shape::split_at_axis;
 use crate::Tensor;
 
@@ -60,13 +60,16 @@ impl Tensor {
 
     /// Sum along `axis`, keeping it as size 1.
     pub fn sum_axis(&self, axis: usize) -> Tensor {
-        self.axis_accumulate(axis, 0.0, |acc, v| acc + v)
+        self.reduce_axis(axis, |data, shape, out| {
+            kernel::axis_reduce_into(data, shape, axis, AxisReduce::Sum, out)
+        })
     }
 
     /// Mean along `axis`, keeping it as size 1.
     pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let len = self.shape[axis] as f32;
-        self.sum_axis(axis).mul_scalar(1.0 / len)
+        self.reduce_axis(axis, |data, shape, out| {
+            kernel::axis_reduce_into(data, shape, axis, AxisReduce::Mean, out)
+        })
     }
 
     /// Population variance along `axis`, keeping it as size 1.
@@ -77,24 +80,23 @@ impl Tensor {
 
     /// Max along `axis`, keeping it as size 1.
     pub fn max_axis(&self, axis: usize) -> Tensor {
-        self.axis_accumulate(axis, f32::NEG_INFINITY, |acc, v| acc.max(v))
+        self.reduce_axis(axis, |data, shape, out| {
+            kernel::axis_accumulate_into(data, shape, axis, f32::NEG_INFINITY, f32::max, out)
+        })
     }
 
-    /// Shared axis-reduction kernel: `out[o, i] = fold over l of
-    /// self[o, l, i]` in the implicit `(outer, len, inner)` view. The `l`
-    /// accumulation order per output element matches the serial loop
-    /// exactly; parallelism only splits the disjoint output regions.
-    fn axis_accumulate(
+    /// Shared axis-reduction wrapper: `reduce(data, shape, out)` fills the
+    /// `(outer, inner)` output from this tensor's dense row-major data.
+    fn reduce_axis(
         &self,
         axis: usize,
-        init: f32,
-        accumulate: impl Fn(f32, f32) -> f32 + Sync,
+        reduce: impl FnOnce(&[f32], &[usize], &mut [f32]),
     ) -> Tensor {
         let (outer, _, inner) = split_at_axis(&self.shape, axis);
         // the row-major index arithmetic in the kernel wants dense storage
         let dense = self.contiguous();
         let mut out = vec![0.0f32; outer * inner];
-        kernel::axis_accumulate_into(dense.data(), &self.shape, axis, init, accumulate, &mut out);
+        reduce(dense.data(), &self.shape, &mut out);
         let mut shape = self.shape.clone();
         shape[axis] = 1;
         Tensor::from_vec(out, &shape)

@@ -32,6 +32,10 @@ echo "==> cargo test --release -q --offline -p lip-par (a region takes back the 
 echo "    jobs no worker has started; optimized builds time that race differently)"
 cargo test --release -q --offline -p lip-par
 
+echo "==> cargo test --release -q --offline -p lip-exec (the tape parity, shadow-check"
+echo "    and poison suites against the optimized kernels, vectorized matmul tiles included)"
+cargo test --release -q --offline -p lip-exec
+
 echo "==> lip-analyze --plan --lint --check-model (static graph gate: lift each"
 echo "    benchmark model's plan from its own tape, then the tape checks)"
 cargo run -q --release --offline -p lip-analyze -- --plan --lint --check-model
@@ -78,6 +82,7 @@ fi
 
 echo "OK: offline build + double test run green (LIP_THREADS=1 and default),"
 echo "    perfbench builds against the current APIs,"
+echo "    lip-tensor, lip-par and lip-exec tests green under --release,"
 echo "    rustdoc clean under -D warnings, clippy clean under -D warnings,"
 echo "    static graph gate and static plan verifier zero findings,"
 echo "    perf suite within tolerance (four-way parity, zero layout copies,"

@@ -299,3 +299,37 @@ fn usage_error_exits_2_with_stderr_on_dev_full() {
         .expect("run lip-analyze");
     assert_eq!(status.code(), Some(2), "usage error with stderr on /dev/full");
 }
+
+/// `--help` and the reports keep their exit codes when stdout cannot be
+/// written: a full device must not turn them into a panic (exit 101).
+#[test]
+fn help_and_reports_keep_exit_codes_with_stdout_on_dev_full() {
+    use std::process::{Command, Stdio};
+    let open_full = || std::fs::OpenOptions::new().write(true).open("/dev/full");
+    if let Err(e) = open_full() {
+        eprintln!("skipping: cannot open /dev/full: {e}");
+        return;
+    }
+    let run = |args: &[&str], stdout: Stdio| {
+        Command::new(env!("CARGO_BIN_EXE_lip-analyze"))
+            .args(args)
+            .stdout(stdout)
+            .stderr(Stdio::null())
+            .status()
+            .expect("run lip-analyze")
+            .code()
+    };
+    let full = || Stdio::from(open_full().expect("open /dev/full"));
+    assert_eq!(run(&["--help"], full()), Some(0), "--help with stdout on /dev/full");
+
+    let mut config = LiPFormerConfig::small(24, 8, 2);
+    (config.patch_len, config.hidden, config.heads, config.encoder_hidden) = (6, 8, 2, 8);
+    let path = std::env::temp_dir().join(format!("lip_analyze_tiny_{}.json", std::process::id()));
+    std::fs::write(&path, lip_serde::to_string(&config)).expect("write config");
+    let args = ["--plan", "--check-model", path.to_str().expect("utf-8 temp path")];
+    let on_null = run(&args, Stdio::null());
+    let on_full = run(&args, full());
+    let _ = std::fs::remove_file(&path);
+    assert!(matches!(on_null, Some(0 | 1)), "report exit code {on_null:?}");
+    assert_eq!(on_full, on_null, "report exit code with stdout on /dev/full");
+}

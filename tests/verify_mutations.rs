@@ -140,12 +140,13 @@ fn dropped_dies_after_is_a_liveness_finding() {
 #[test]
 fn reordered_steps_are_a_def_before_use_finding() {
     let (plan, mut sched) = clean_pair();
-    // find a consumer step j whose input is produced by a pooled step i < j
+    // find a consumer step j whose input (read through its plan node) is
+    // produced by a pooled step i < j
     let mut swap = None;
     'outer: for j in 0..sched.steps.len() {
-        for &inp in &sched.steps[j].inputs {
+        for inp in &plan.tape.nodes()[sched.steps[j].node].inputs {
             if let Some(i) = sched.steps[..j].iter().position(|s| {
-                s.node == inp && matches!(s.storage, Storage::Slot(_))
+                s.node == inp.0 && matches!(s.storage, Storage::Slot(_))
             }) {
                 swap = Some((i, j));
                 break 'outer;
